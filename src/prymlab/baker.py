@@ -267,7 +267,10 @@ class IdentityValue:
         return self.value.to_text()
 
 
-def _case_of_tag(tag: str) -> str | None:
+def identity_case(tag: str) -> str | None:
+    """The model case ("R" or "NR") an identity tag needs; None for both."""
+    if tag.startswith("CONN_"):
+        return "NR"
     if tag.endswith("_R") or "_R_" in tag:
         return "R"
     if tag.endswith("_NR") or "_NR_" in tag:
@@ -285,8 +288,8 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
     through the tested truncation.
     """
     model = U.model
-    want = _case_of_tag(tag)
-    if want is not None and tag != "BKP_GEN" and model.case != want:
+    want = identity_case(tag)
+    if want is not None and model.case != want:
         raise ValueError("identity %s applies to the %s model" % (tag, want))
     if dual is None:
         dual = U.orthogonal()
@@ -329,8 +332,6 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
         value = residue_pairing(VSeries.one(model, ring), adj)
         return IdentityValue(tag, value, cap, depth, {"psi*": ba.big_cell})
     if tag == "CONN_i" or tag.startswith("CONN_"):
-        if model.case != "NR":
-            raise ValueError("connectedness residues live in the NR model")
         which = None
         if tag not in ("CONN_i",):
             which = int(tag.split("_")[1])

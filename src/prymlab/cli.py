@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .baker import IDENTITY_TAGS, residue_identity_eval
+from .baker import IDENTITY_TAGS, identity_case, residue_identity_eval
 from .errors import BigCellError, ConfigError, FrameError, PrymlabError, WindowError
 from .grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from .jets import JetRing
@@ -94,6 +94,9 @@ def build_point(cfg: dict) -> GrassPoint:
     point_cfg = cfg.get("point", {"type": "algebra"})
     kind = point_cfg.get("type", "algebra")
     if "curve" in cfg and kind in ("algebra", "module"):
+        if lo > 0:
+            raise ConfigError("curve points need a window with lo <= 0 (rows of "
+                              "pole depth -lo)")
         curve = _curve_from_config(cfg)
         if kind == "algebra":
             return algebra_point(curve, -lo, hi)
@@ -104,6 +107,13 @@ def build_point(cfg: dict) -> GrassPoint:
     model_cfg = cfg.get("model")
     if not model_cfg:
         raise ConfigError("synthetic points need a 'model' entry")
+    try:
+        return _synthetic_point(kind, point_cfg, model_cfg)
+    except (KeyError, ValueError) as e:
+        raise ConfigError("bad %s point: %s" % (kind, e))
+
+
+def _synthetic_point(kind: str, point_cfg: dict, model_cfg: dict) -> GrassPoint:
     model = Model(int(model_cfg["p"]), model_cfg.get("case", "R"))
     ring = JetRing.scalar(model.p)
     if kind == "v_minus":
@@ -218,18 +228,15 @@ def run(cfg: dict) -> dict:
     order = sorted(cfg["checks"],
                    key=lambda n: (_phase(n), cfg["checks"].index(n)))
     names = list(dict.fromkeys(order))
-    par = int(cfg.get("parallel", 1))
-    if par > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=par) as ex:
-            results = list(ex.map(lambda n: (n, run_check(n, point, cfg)), names))
-        for n, res in results:
-            report["checks"][n] = res
-    else:
-        for n in names:
-            t1 = time.time()
-            report["checks"][n] = run_check(n, point, cfg)
-            report["timing"][n] = round(time.time() - t1, 6)
+    for n in names:
+        need = "NR" if n == "connectedness" else identity_case(n)
+        if need is not None and need != point.model.case:
+            raise ConfigError("check %s needs the %s model; this point is %s"
+                              % (n, need, point.model.case))
+    for n in names:
+        t1 = time.time()
+        report["checks"][n] = run_check(n, point, cfg)
+        report["timing"][n] = round(time.time() - t1, 6)
     report["timing"]["total"] = round(time.time() - t0, 6)
     report["verdict"] = overall_verdict(report)
     return report
@@ -261,6 +268,8 @@ def exit_code(report: dict) -> int:
 def sweep(cfg: dict, steps: int = 3, window_step: int = 4, cap_step: int = 1) -> dict:
     """Run the check suite over a monotone window/cap schedule."""
     cfg = parse_config(cfg)
+    if steps < 1:
+        raise ConfigError("a sweep needs at least one step")
     series = []
     for k in range(steps):
         sub = json.loads(json.dumps(cfg))
@@ -431,8 +440,6 @@ def _load_config(args) -> dict:
             raise ConfigError("--window expects lo:hi")
     if args.jet_cap is not None:
         cfg["jet_cap"] = args.jet_cap
-    if args.parallel is not None:
-        cfg["parallel"] = args.parallel
     return cfg
 
 
@@ -445,8 +452,15 @@ def _emit(report: dict, out_path):
         print(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: exit code 3, one line."""
+
+    def error(self, message):
+        raise ConfigError("%s: %s" % (self.prog, message))
+
+
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON job configuration")
     common.add_argument("--window", default=argparse.SUPPRESS,
@@ -455,9 +469,7 @@ def main(argv=None) -> int:
                         default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write the JSON report here")
-    common.add_argument("--parallel", type=int, default=argparse.SUPPRESS)
-    ap = argparse.ArgumentParser(prog="prymlab", description=__doc__,
-                                 parents=[common])
+    ap = _Parser(prog="prymlab", description=__doc__, parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("check", parents=[common],
                    help="run the configured check suite")
@@ -486,13 +498,11 @@ def main(argv=None) -> int:
     st = sub.add_parser("selftest", parents=[common],
                         help="run the bundled property suites")
     st.add_argument("--seed", type=int, default=0)
-    ns = ap.parse_args(argv)
-    args = argparse.Namespace(config=None, window=None, jet_cap=None,
-                              out=None, parallel=None)
-    for k, v in vars(ns).items():
-        setattr(args, k, v)
-
     try:
+        ns = ap.parse_args(argv)
+        args = argparse.Namespace(config=None, window=None, jet_cap=None, out=None)
+        for k, v in vars(ns).items():
+            setattr(args, k, v)
         if args.command == "check":
             report = run(_load_config(args))
             _emit(report, args.out)
@@ -505,7 +515,7 @@ def main(argv=None) -> int:
             return exit_code(last)
         if args.command == "curve-info":
             if args.p and args.f:
-                curve = CurveSpec(args.p, [Fraction(c) for c in args.f.split(",")])
+                curve = _curve_from_config({"curve": {"p": args.p, "f": args.f.split(",")}})
             else:
                 cfg = _load_config(args)
                 curve = _curve_from_config(cfg)
@@ -521,7 +531,10 @@ def main(argv=None) -> int:
             if args.constants:
                 result = prym_search_constants(_load_config(args))
             else:
-                result = prym_search_u_n(args.p, args.case, args.n, args.start)
+                try:
+                    result = prym_search_u_n(args.p, args.case, args.n, args.start)
+                except ValueError as e:
+                    raise ConfigError("bad witness family: %s" % e)
             _emit(result, args.out)
             return 0
         if args.command == "selftest":

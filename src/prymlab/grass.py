@@ -29,7 +29,7 @@ class GrassPoint:
     """Windowed echelon frame for a subspace of V commensurable with V+."""
 
     def __init__(self, model: Model, ring: JetRing, rows: dict, *, tail=None,
-                 phi, pivots_full_below: bool, max_pivot_bound: int, recipe=None):
+                 phi, pivots_full_below: bool, max_pivot_bound: int):
         self.model = model
         self.ring = ring
         self.rows = dict(rows)
@@ -37,7 +37,6 @@ class GrassPoint:
         self.phi = phi
         self.pivots_full_below = pivots_full_below or tail is not None
         self.max_pivot_bound = max_pivot_bound
-        self.recipe = recipe
         if self.tail is not None and len(self.tail) != model.ncomp:
             raise ValueError("tail needs one exponent bound per component")
 
@@ -94,7 +93,7 @@ class GrassPoint:
                           {n: r.lift(ring) for n, r in self.rows.items()},
                           tail=self.tail, phi=self.phi,
                           pivots_full_below=self.pivots_full_below,
-                          max_pivot_bound=self.max_pivot_bound, recipe=self.recipe)
+                          max_pivot_bound=self.max_pivot_bound)
 
     def _aligned(self, v: VSeries):
         """Common-ring view of (frame, vector)."""
@@ -151,32 +150,54 @@ class GrassPoint:
         frame, v = self._aligned(v)
         if frame is not self:
             return frame.reduce(v)
+        m = self.model
+        # one mutable exponent -> coefficient map per component; the
+        # window is [lo, hi) = common window of v, phi and every row used
+        lo, hi = v.lo, v.hi
         if not _isinf(self.phi):
-            v = v.truncate(self.model.exp_window(0, self.phi)[1])
-        residual = v
+            hi = min(hi, m.exp_window(0, self.phi)[1])
+        comps = [{e: c for e, c in d.items() if e < hi} for d in v.comps]
         used = {}
         blocked = set()
         floor = self.stored_floor()
         for _ in range(self.ring.cap + 2):
             changed = False
-            for n in sorted(q for q, _ in residual.pos_items()):
-                c = residual.pos_coeff(n)
-                if c.is_zero():
+            for n in sorted(m.pos(ci + 1, e) for ci, d in enumerate(comps) for e in d):
+                ci, e = m.unpos(n)
+                t = comps[ci - 1]
+                c = t.get(e)
+                if c is None:
                     continue
                 if self.in_tail(n):
-                    residual = residual - VSeries.basis(self.model, self.ring, n, c)
+                    del t[e]
                     changed = True
                     continue
                 row = self.rows.get(n)
                 if row is not None:
-                    residual = residual - row.scale(c)
+                    if row.hi < hi:
+                        hi = row.hi
+                        comps = [{e2: a for e2, a in d.items() if e2 < hi} for d in comps]
+                    lo = min(lo, row.lo)
+                    for d, rd in zip(comps, row.comps):
+                        for e2, a in rd.items():
+                            if e2 >= hi:
+                                continue
+                            x = a * c
+                            if x.is_zero():
+                                continue
+                            s = d.get(e2)
+                            s = -x if s is None else s - x
+                            if s.is_zero():
+                                del d[e2]
+                            else:
+                                d[e2] = s
                     used[n] = used.get(n, self.ring.zero()) + c
                     changed = True
                 elif floor is not None and n < floor and self.pivots_full_below:
                     blocked.add(n)
             if not changed:
                 break
-        return residual, used, blocked
+        return VSeries(m, self.ring, comps, lo, hi), used, blocked
 
     def membership(self, v: VSeries) -> bool:
         """Certified membership of v within the common window."""
@@ -449,21 +470,52 @@ class GrassPoint:
         (principal parts of the nullspace).  With `with_flag`, also reports
         agreement with the depth-1 value.
         """
-        val = self._tangent_once(depth)
+        # constraint products are reduced once and shared by both depths;
+        # `keep` is the top of the deeper system, which also covers
+        # depth - 1 since the unknowns' top exponent grows with depth
+        products = {}
+        keep = self.model.pos(1, self._tangent_e_hi(depth))
+        val = self._tangent_once(depth, products, keep)
         if not with_flag:
             return val
-        prev = self._tangent_once(depth - 1) if depth > 1 else None
+        prev = self._tangent_once(depth - 1, products, keep) if depth > 1 else None
         return val, (prev == val)
 
-    def _tangent_once(self, depth: int) -> int:
+    def _tangent_e_hi(self, depth: int) -> int:
+        """Top exponent (exclusive) of the tangent unknowns at `depth`."""
+        if _isinf(self.phi):
+            return depth + 2
+        return max(depth + 2, self.model.exp_window(0, self.phi)[1] - 1)
+
+    def _tangent_product(self, products: dict, keep: int, comp: int, e: int,
+                         pivot: int, row):
+        """Reduction of z^e e_comp . row (ramified: z1^e . row), memoized.
+
+        Returns (lowest position certified by the frame, residual window
+        top, [(position, constant term)]), the list cut to the positions
+        [lowest, keep + row start) that a system topped at `keep` can use.
+        Reduction is K-linear and sigma^k only twists (ramified) or
+        relabels (non-ramified) the monomial, so every sigma^k system
+        reuses these entries.
+        """
+        key = (comp, e, pivot)
+        hit = products.get(key)
+        if hit is None:
+            prod = VSeries.monomial(self.model, self.ring, comp, e) * row
+            residual, _, blocked = self.reduce(prod)
+            lo = max(blocked) + 1 if blocked else _DEEP
+            top = keep + row.pos_window()[0]
+            hit = products[key] = (
+                lo, residual.pos_window()[1],
+                [(q, c.constant_term()) for q, c in residual.pos_items() if lo <= q < top])
+        return hit
+
+    def _tangent_once(self, depth: int, products: dict, keep: int) -> int:
         m = self.model
         if self.ring.cap != 0:
             raise ValueError("tangent computation expects a scalar frame")
         p = m.p
-        if _isinf(self.phi):
-            e_hi = depth + 2
-        else:
-            e_hi = max(depth + 2, m.exp_window(0, self.phi)[1] - 1)
+        e_hi = self._tangent_e_hi(depth)
         unknowns = [(i, e) for i in range(1, m.ncomp + 1) for e in range(-depth, e_hi)]
         col = {u: k for k, u in enumerate(unknowns)}
         equations = []
@@ -478,31 +530,26 @@ class GrassPoint:
         rows = self._tangent_rows(depth)
         top_pos = m.pos(1, e_hi)
         for k in range(p):
-            per_row = {}
+            slots = [[_DEEP, None, {}] for _ in rows]
             for (i, e), cidx in col.items():
-                n = m.pos(i, e)
-                for ridx, r in enumerate(rows):
-                    if m.case == "R":
-                        base = VSeries.basis(m, self.ring, n,
-                                             self.ring.const(m.xi_pow(k * n)))
-                    else:
-                        i2 = (i - 1 + k) % p + 1
-                        base = VSeries.monomial(m, self.ring, i2, e)
-                    prod = base * r
-                    residual, _, blocked = self.reduce(prod)
-                    lo_r, hi_r = residual.pos_window()
-                    slot = per_row.setdefault(ridx, {"lo": _DEEP, "hi": None, "eqs": {}})
-                    if blocked:
-                        slot["lo"] = max(slot["lo"], max(blocked) + 1)
-                    slot["hi"] = hi_r if slot["hi"] is None else min(slot["hi"], hi_r)
-                    for q, c in residual.pos_items():
-                        if not c.is_zero():
-                            slot["eqs"].setdefault(q, {})[cidx] = c.constant_term()
-            for ridx, slot in per_row.items():
-                r = rows[ridx]
-                valid_hi = min(slot["hi"], top_pos + r.pos_window()[0])
-                for q, eq in slot["eqs"].items():
-                    if slot["lo"] <= q < valid_hi:
+                if m.case == "R":
+                    comp, twist = 1, (m.xi_pow(k * e) if k else None)
+                else:
+                    comp, twist = (i - 1 + k) % p + 1, None
+                for slot, (pivot, r) in zip(slots, rows):
+                    lo, hi, entries = self._tangent_product(products, keep, comp, e,
+                                                            pivot, r)
+                    if lo > slot[0]:
+                        slot[0] = lo
+                    if slot[1] is None or hi < slot[1]:
+                        slot[1] = hi
+                    eqs = slot[2]
+                    for q, c in entries:
+                        eqs.setdefault(q, {})[cidx] = c if twist is None else c * twist
+            for (lo, hi, eqs), (_, r) in zip(slots, rows):
+                valid_hi = min(hi, top_pos + r.pos_window()[0])
+                for q, eq in eqs.items():
+                    if lo <= q < valid_hi:
                         equations.append(eq)
         basis = nullspace(equations, len(unknowns), p)
         neg_cols = [kk for kk, (i, e) in enumerate(unknowns) if e < 0]
@@ -514,7 +561,8 @@ class GrassPoint:
         return amb - rank_of_vectors(projected, len(neg_cols), p)
 
     def _tangent_rows(self, depth: int):
-        """Rows usable as constraints: products must stay in the window."""
+        """(pivot, row) pairs usable as constraints: products must stay in
+        the window.  Tail monomials are keyed by their own position."""
         m = self.model
         rows = []
         floor = self.stored_floor()
@@ -524,11 +572,12 @@ class GrassPoint:
             if self.tail is None and floor is not None:
                 if r.pos_window()[0] + depth_pos < floor:
                     continue
-            rows.append(r)
+            rows.append((n, r))
         if self.tail is not None:
             for i, t in enumerate(self.tail):
                 for e in range(t - depth - 1, t):
-                    rows.append(VSeries.monomial(m, self.ring, i + 1, e))
+                    rows.append((m.pos(i + 1, e),
+                                 VSeries.monomial(m, self.ring, i + 1, e)))
         return rows
 
     # ------------------------------------------------------------------ misc
@@ -554,7 +603,7 @@ class GrassPoint:
 
 
 def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
-                pivots_full_below=False, max_pivot_bound=None, recipe=None) -> GrassPoint:
+                pivots_full_below=False, max_pivot_bound=None) -> GrassPoint:
     """Reduced echelon frame spanned by `vectors` (plus the tail, if any)."""
     shell = GrassPoint(model, ring, {}, tail=tail, phi=phi,
                        pivots_full_below=False,
@@ -579,7 +628,6 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
                 [shell.max_pivot_bound]
                 + [model.pos(i + 1, t - 1) for i, t in enumerate(tail)])
     shell.pivots_full_below = pivots_full_below or tail is not None
-    shell.recipe = recipe
     return shell
 
 

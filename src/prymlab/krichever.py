@@ -256,8 +256,7 @@ def algebra_point(curve: CurveSpec, depth: int, height: int | None = None,
     point = build_frame(exp.model, exp.ring, gens,
                         phi=min(phis),
                         pivots_full_below=True,
-                        max_pivot_bound=exp.model.p - 1 if curve.case == "NR" else 0,
-                        recipe=lambda dep, hei=None: algebra_point(curve, dep, hei, ring))
+                        max_pivot_bound=exp.model.p - 1 if curve.case == "NR" else 0)
     return point
 
 
@@ -275,7 +274,6 @@ def module_point(curve: CurveSpec, gens, depth: int, height: int | None = None,
                            phi=min(v.pos_window()[1] for v in vecs),
                            floor=floor, pivots_full_below=True)
     point.max_pivot_bound = max(point.rows) if point.rows else 0
-    point.recipe = lambda dep, hei=None: module_point(curve, gens, dep, hei, ring)
     return point
 
 

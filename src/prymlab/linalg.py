@@ -5,15 +5,15 @@ from __future__ import annotations
 from .scalars import Cyclo
 
 
-def nullspace(equations, nunknowns: int, p: int):
-    """Nullspace basis of a homogeneous system over Q(xi_p).
+def _eliminate(rows, p: int) -> dict:
+    """Forward elimination of sparse {column: Cyclo} rows.
 
-    `equations` is an iterable of {column: Cyclo} dicts.  Returns a list of
-    dense coefficient lists, one per nullspace basis vector.
+    Returns {pivot column: normalized row}; every row's lowest column is
+    its pivot, with coefficient one, and no two rows share a pivot.
     """
-    # forward elimination, keeping reduced pivot rows per column
+    zero = Cyclo.zero(p)
     pivots = {}
-    for eq in equations:
+    for eq in rows:
         row = {c: v for c, v in eq.items() if not v.is_zero()}
         while row:
             col = min(row)
@@ -24,11 +24,22 @@ def nullspace(equations, nunknowns: int, p: int):
                 break
             factor = row[col]
             for c, v in piv.items():
-                s = row.get(c, Cyclo.zero(p)) - factor * v
+                s = row.get(c, zero) - factor * v
                 if s.is_zero():
                     row.pop(c, None)
                 else:
                     row[c] = s
+    return pivots
+
+
+def nullspace(equations, nunknowns: int, p: int):
+    """Nullspace basis of a homogeneous system over Q(xi_p).
+
+    `equations` is an iterable of {column: Cyclo} dicts.  Returns a list of
+    dense coefficient lists, one per nullspace basis vector.
+    """
+    pivots = _eliminate(equations, p)
+    zero = Cyclo.zero(p)
     free = [c for c in range(nunknowns) if c not in pivots]
     # back-substitute, descending, so pivot rows touch only free columns
     for col in sorted(pivots, reverse=True):
@@ -38,14 +49,14 @@ def nullspace(equations, nunknowns: int, p: int):
             for c2, v in pivots[c].items():
                 if c2 == c:
                     continue
-                s = row.get(c2, Cyclo.zero(p)) - factor * v
+                s = row.get(c2, zero) - factor * v
                 if s.is_zero():
                     row.pop(c2, None)
                 else:
                     row[c2] = s
     basis = []
     for f in free:
-        vec = [Cyclo.zero(p)] * nunknowns
+        vec = [zero] * nunknowns
         vec[f] = Cyclo.one(p)
         for col, row in pivots.items():
             c = row.get(f)
@@ -57,27 +68,4 @@ def nullspace(equations, nunknowns: int, p: int):
 
 def rank_of_vectors(vectors, ncols: int, p: int) -> int:
     """Rank of a list of dense Cyclo rows."""
-    rows = [
-        {i: v for i, v in enumerate(vec) if not v.is_zero()}
-        for vec in vectors
-    ]
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = row[col].inverse()
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                rank += 1
-                break
-            factor = row[col]
-            for c, v in piv.items():
-                s = row.get(c, Cyclo.zero(p)) - factor * v
-                if s.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = s
-    return rank
+    return len(_eliminate(({i: v for i, v in enumerate(vec)} for vec in vectors), p))

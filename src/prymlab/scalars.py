@@ -12,8 +12,6 @@ from fractions import Fraction
 
 Rat = Fraction
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -32,6 +30,9 @@ def _as_rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected an integer or Fraction, got %r" % (x,))
+
+
+_ZEROS = {}  # p -> the shared zero of Q(xi_p)
 
 
 class Cyclo:
@@ -58,11 +59,24 @@ class Cyclo:
         self.p = p
         self.coeffs = coeffs
 
+    @staticmethod
+    def _make(p: int, coeffs: tuple) -> "Cyclo":
+        """Trusted constructor for results of arithmetic on valid operands:
+        p is already a checked prime and `coeffs` a tuple of p - 1 Fractions."""
+        out = object.__new__(Cyclo)
+        out.p = p
+        out.coeffs = coeffs
+        return out
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(p: int) -> "Cyclo":
-        return Cyclo(p, (Fraction(0),) * (p - 1))
+        """The zero of Q(xi_p): one shared instance per p (never mutated)."""
+        z = _ZEROS.get(p)
+        if z is None:
+            z = _ZEROS[p] = Cyclo(p, (Fraction(0),) * (p - 1))
+        return z
 
     @staticmethod
     def one(p: int) -> "Cyclo":
@@ -99,18 +113,18 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.p, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return Cyclo._make(self.p, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.p, tuple(-a for a in self.coeffs))
+        return Cyclo._make(self.p, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.p, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return Cyclo._make(self.p, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -124,7 +138,7 @@ class Cyclo:
             return NotImplemented
         p = self.p
         if p == 2:
-            return Cyclo(2, (self.coeffs[0] * o.coeffs[0],))
+            return Cyclo._make(2, (self.coeffs[0] * o.coeffs[0],))
         # polynomial product, exponents reduced with xi^p = 1 first
         raw = [Fraction(0)] * p
         for i, a in enumerate(self.coeffs):
@@ -140,7 +154,7 @@ class Cyclo:
             out = tuple(raw[k] - top for k in range(p - 1))
         else:
             out = tuple(raw[: p - 1])
-        return Cyclo(p, out)
+        return Cyclo._make(p, out)
 
     __rmul__ = __mul__
 
@@ -150,13 +164,13 @@ class Cyclo:
             raise ZeroDivisionError("inverse of 0 in Q(xi_%d)" % self.p)
         p = self.p
         if p == 2:
-            return Cyclo(2, (Fraction(1) / self.coeffs[0],))
+            return Cyclo._make(2, (Fraction(1) / self.coeffs[0],))
         phi = [Fraction(1)] * p            # Phi_p = 1 + x + ... + x^(p-1)
         a = list(self.coeffs)
         g, inv = _poly_xgcd_mod(a, phi)
         scale = Fraction(1) / g
         out = [c * scale for c in inv] + [Fraction(0)] * (p - 1 - len(inv))
-        return Cyclo(p, out[: p - 1])
+        return Cyclo._make(p, tuple(out[: p - 1]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -287,13 +301,6 @@ def _poly_xgcd_mod(a, m):
     if not r1:
         raise ZeroDivisionError("element not invertible")
     return r1[0], s1
-
-
-def xi_order_check(xi: Cyclo, p: int) -> bool:
-    """True when xi is a primitive p-th root of unity."""
-    if xi ** p != Cyclo.one(p):
-        return False
-    return xi != Cyclo.one(p)
 
 
 def root_product(p: int) -> Cyclo:

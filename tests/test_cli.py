@@ -157,3 +157,38 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "prym-search" in proc.stdout
+
+
+def _one_line_config_error(capsys, code):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("config error:")
+
+
+def test_check_for_the_other_model_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "curve": {"p": 2, "f": ["-1", "0", "0", "0", "0", "1"]},
+        "checks": ["SIGMA_NR"]}))
+    _one_line_config_error(capsys, main(["--config", str(cfg_path), "check"]))
+
+
+def test_bad_synthetic_point_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"p": 2, "case": "R"},
+        "point": {"type": "u_n", "n": 0, "N": -1},
+        "checks": ["chi"]}))
+    _one_line_config_error(capsys, main(["--config", str(cfg_path), "check"]))
+
+
+def test_usage_error_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(y2x5_config(checks=["chi"])))
+    # exit 2 would read as window-insufficient
+    _one_line_config_error(
+        capsys, main(["--config", str(cfg_path), "--parallel", "2", "check"]))
+    _one_line_config_error(capsys, main(["no-such-command"]))
+    _one_line_config_error(
+        capsys, main(["--config", str(cfg_path), "sweep", "--steps", "0"]))

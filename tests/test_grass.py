@@ -1,12 +1,17 @@
+import functools
 import random
 
 import pytest
 
-from conftest import frames_agree, random_point
+from conftest import frames_agree, rand_scalar, random_point
 
-from prymlab.grass import build_frame, lines_point, u_n_point, v_minus
+from prymlab import grass
+from prymlab.grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from prymlab.jets import JetRing
-from prymlab.vseries import Model, VSeries, flow_exponential, residue_pairing
+from prymlab.krichever import CurveSpec, algebra_point
+from prymlab.linalg import nullspace, rank_of_vectors
+from prymlab.scalars import Cyclo
+from prymlab.vseries import INF, Model, VSeries, _isinf, flow_exponential, residue_pairing
 
 
 def scalar_ring(p):
@@ -322,3 +327,250 @@ def test_duality_intertwines_group_action():
             lhs = U.group_act(g).orthogonal()
             rhs = U.orthogonal().group_act(ginv)
             assert frames_agree(lhs, rhs)
+
+
+# ------------------------------------------------------------------ tangent: reference loop
+#
+# The tangent check and `reduce` below are the straightforward versions:
+# one fresh `reduce(base * row)` per (sigma power, unknown, row), and a
+# reduction that rebuilds the residual VSeries at every pivot it clears.
+# The package memoizes the products and reduces in place; both must give
+# exactly what these give.
+
+
+def _reference_reduce(U, v):
+    frame, v = U._aligned(v)
+    if frame is not U:
+        return _reference_reduce(frame, v)
+    if not _isinf(U.phi):
+        v = v.truncate(U.model.exp_window(0, U.phi)[1])
+    residual = v
+    used = {}
+    blocked = set()
+    floor = U.stored_floor()
+    for _ in range(U.ring.cap + 2):
+        changed = False
+        for n in sorted(q for q, _ in residual.pos_items()):
+            c = residual.pos_coeff(n)
+            if c.is_zero():
+                continue
+            if U.in_tail(n):
+                residual = residual - VSeries.basis(U.model, U.ring, n, c)
+                changed = True
+                continue
+            row = U.rows.get(n)
+            if row is not None:
+                residual = residual - row.scale(c)
+                used[n] = used.get(n, U.ring.zero()) + c
+                changed = True
+            elif floor is not None and n < floor and U.pivots_full_below:
+                blocked.add(n)
+        if not changed:
+            break
+    return residual, used, blocked
+
+
+def _reference_tangent_rows(U, depth):
+    m = U.model
+    rows = []
+    floor = U.stored_floor()
+    depth_pos = m.pos(1, -depth) if m.case == "NR" else -depth
+    for n in sorted(U.rows):
+        r = U.rows[n]
+        if U.tail is None and floor is not None:
+            if r.pos_window()[0] + depth_pos < floor:
+                continue
+        rows.append(r)
+    if U.tail is not None:
+        for i, t in enumerate(U.tail):
+            for e in range(t - depth - 1, t):
+                rows.append(VSeries.monomial(m, U.ring, i + 1, e))
+    return rows
+
+
+def _reference_tangent_once(U, depth, keys, systems):
+    """The value at one depth; adds every (component, exponent, row pivot)
+    whose product the system needs to `keys`, and the linear system to
+    `systems`."""
+    m = U.model
+    p = m.p
+    if _isinf(U.phi):
+        e_hi = depth + 2
+    else:
+        e_hi = max(depth + 2, m.exp_window(0, U.phi)[1] - 1)
+    unknowns = [(i, e) for i in range(1, m.ncomp + 1) for e in range(-depth, e_hi)]
+    col = {u: k for k, u in enumerate(unknowns)}
+    equations = []
+    if m.case == "R":
+        for n in range(-depth, e_hi):
+            if n != 0 and n % p == 0:
+                equations.append({col[(1, n)]: Cyclo.one(p)})
+    else:
+        for e in range(-depth, e_hi):
+            if e != 0:
+                equations.append({col[(i, e)]: Cyclo.one(p) for i in range(1, p + 1)})
+    rows = _reference_tangent_rows(U, depth)
+    top_pos = m.pos(1, e_hi)
+    for k in range(p):
+        per_row = {}
+        for (i, e), cidx in col.items():
+            n = m.pos(i, e)
+            for ridx, r in enumerate(rows):
+                if m.case == "R":
+                    base = VSeries.basis(m, U.ring, n, U.ring.const(m.xi_pow(k * n)))
+                    keys.add((1, e, r.leading_position()))
+                else:
+                    i2 = (i - 1 + k) % p + 1
+                    base = VSeries.monomial(m, U.ring, i2, e)
+                    keys.add((i2, e, r.leading_position()))
+                residual, _, blocked = _reference_reduce(U, base * r)
+                lo_r, hi_r = residual.pos_window()
+                slot = per_row.setdefault(ridx, {"lo": -(10 ** 9), "hi": None, "eqs": {}})
+                if blocked:
+                    slot["lo"] = max(slot["lo"], max(blocked) + 1)
+                slot["hi"] = hi_r if slot["hi"] is None else min(slot["hi"], hi_r)
+                for q, c in residual.pos_items():
+                    if not c.is_zero():
+                        slot["eqs"].setdefault(q, {})[cidx] = c.constant_term()
+        for ridx, slot in per_row.items():
+            valid_hi = min(slot["hi"], top_pos + rows[ridx].pos_window()[0])
+            for q, eq in slot["eqs"].items():
+                if slot["lo"] <= q < valid_hi:
+                    equations.append(eq)
+    systems.append((equations, len(unknowns)))
+    basis = nullspace(equations, len(unknowns), p)
+    neg_cols = [kk for kk, (i, e) in enumerate(unknowns) if e < 0]
+    amb = depth - depth // p if m.case == "R" else (p - 1) * depth
+    projected = [[vec[kk] for kk in neg_cols] for vec in basis]
+    return amb - rank_of_vectors(projected, len(neg_cols), p)
+
+
+def _reference_tangent(U, depth, keys=None, systems=None):
+    keys = set() if keys is None else keys
+    systems = [] if systems is None else systems
+    val = _reference_tangent_once(U, depth, keys, systems)
+    prev = _reference_tangent_once(U, depth - 1, keys, systems) if depth > 1 else None
+    return val, prev == val
+
+
+TANGENT_CASES = ("y2x5", "y3x4", "y2x6", "genus9", "u_n R", "u_n R p3", "u_n NR",
+                 "random R", "random NR")
+
+
+@functools.lru_cache(maxsize=None)
+def _tangent_case(name):
+    """(point, depth, known value or None) of a named tangent fixture."""
+    if name == "y2x5":
+        return algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 16, 26), 6, 2
+    if name == "y3x4":   # ramified, sigma twisted by xi^2
+        curve = CurveSpec(3, [-1, 0, 0, 0, 1])
+        assert curve.model().xi == Cyclo.xi_power(3, 2)
+        return algebra_point(curve, 18), 6, 3
+    if name == "y2x6":   # non-ramified
+        return algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 0, 1]), 14), 5, 2
+    if name == "genus9":
+        curve = CurveSpec(3, [1, 2, 0, -1, 0, 0, 0, 3, 0, 0, 1])
+        return algebra_point(curve, 30, 40), 18, 9
+    if name == "u_n R":
+        return u_n_point(Model(2, "R"), scalar_ring(2), 1, -1), 5, None
+    if name == "u_n R p3":
+        return u_n_point(Model(3, "R"), scalar_ring(3), 2, 0), 4, None
+    if name == "u_n NR":
+        return u_n_point(Model(2, "NR"), scalar_ring(2), 1, -1), 4, None
+    # not sigma-invariant, so the sigma^k systems differ from k = 0
+    if name == "random R":
+        model = Model(3, "R", Cyclo.xi_power(3, 2))
+        return random_point(random.Random(5), model, scalar_ring(3)), 4, None
+    assert name == "random NR"
+    return random_point(random.Random(6), Model(3, "NR"), scalar_ring(3)), 3, None
+
+
+@pytest.mark.parametrize("name", TANGENT_CASES)
+def test_tangent_matches_reference_loop(monkeypatch, name):
+    U, depth, value = _tangent_case(name)
+    want_systems = []
+    want = _reference_tangent(U, depth, systems=want_systems)
+    systems = []
+
+    def recording(equations, nunknowns, p):
+        systems.append((equations, nunknowns))
+        return nullspace(equations, nunknowns, p)
+
+    monkeypatch.setattr(grass, "nullspace", recording)
+    assert U.tangent_orbit_dim(depth, with_flag=True) == want
+    # the same equations, in the same order, not just the same value
+    assert systems == want_systems
+    assert U.tangent_orbit_dim(depth) == want[0]
+    if value is not None:
+        assert want[0] == value
+
+
+@pytest.mark.parametrize("name", [n for n in TANGENT_CASES if n != "genus9"])
+def test_tangent_reduces_each_product_once(monkeypatch, name):
+    U, depth, _ = _tangent_case(name)
+    keys = set()
+    _reference_tangent(U, depth, keys)
+    calls = []
+    reduce = GrassPoint.reduce
+
+    def counting(self, v):
+        calls.append(v)
+        return reduce(self, v)
+
+    monkeypatch.setattr(GrassPoint, "reduce", counting)
+    U.tangent_orbit_dim(depth, with_flag=True)
+    assert len(calls) == len(keys)
+
+
+def _random_jet(rng, ring, p):
+    c = ring.const(rand_scalar(rng, p))
+    if ring.cap and rng.random() < 0.6:
+        c = c + ring.var(rng.choice(ring.names), rng.randint(-3, 3))
+    return c
+
+
+def _random_jet_frame(rng, model, ring, with_tail):
+    """Frame with nilpotent junk off the pivots (cap > 0), rows whose
+    window starts below their pivot or ends below other pivots, and either
+    a monomial tail or a finite window with a full-below certificate (so
+    reductions can be blocked)."""
+    p = model.p
+    edge = model.pos(1, -2)
+    positions = list(range(edge, edge + 6 * p))
+    pivots = sorted(rng.sample(positions, 4))
+    vectors = []
+    for piv in pivots:
+        data = {piv: ring.one()}
+        for q in positions:
+            # entries at earlier pivots cancel in the echelon form
+            if (q > piv or q in pivots) and q != piv and rng.random() < 0.4:
+                c = _random_jet(rng, ring, p)
+                if not c.is_zero():
+                    data[q] = c
+        top = rng.choice([INF, piv + rng.randint(1, 4 * p),
+                          edge + rng.randint(6 * p, 9 * p)])
+        vectors.append(VSeries.from_positions(model, ring, data, phi=top))
+    if with_tail:
+        return build_frame(model, ring, vectors, tail=(-2,) * model.ncomp)
+    return build_frame(model, ring, vectors, phi=edge + 8 * p,
+                       pivots_full_below=True, max_pivot_bound=edge + 6 * p)
+
+
+@pytest.mark.parametrize("cap", [0, 2])
+def test_reduce_matches_reference(cap):
+    rng = random.Random(4100 + cap)
+    for case, p in (("R", 2), ("R", 3), ("NR", 2), ("NR", 3)):
+        m = Model(p, case)
+        ring = JetRing(p, ("w1", "w2"), cap=cap) if cap else scalar_ring(p)
+        for trial in range(6):
+            U = _random_jet_frame(rng, m, ring, with_tail=trial % 2 == 0)
+            for _ in range(6):
+                lo_pos = m.pos(1, -4) + rng.randint(0, 6 * p)
+                data = {q: _random_jet(rng, ring, p)
+                        for q in range(lo_pos, lo_pos + 12 * p) if rng.random() < 0.5}
+                top = lo_pos + rng.randint(4 * p, 14 * p) if rng.random() < 0.5 else INF
+                v = VSeries.from_positions(m, ring, data, phi=top)
+                got, want = U.reduce(v), _reference_reduce(U, v)
+                assert got[0] == want[0]          # coefficients and window
+                assert got[1] == want[1]
+                assert got[2] == want[2]

@@ -82,3 +82,29 @@ def test_pow_and_xi_reduction():
         assert xi ** p == Cyclo.one(p)
         for k in range(2 * p):
             assert Cyclo.xi_power(p, k) == xi ** k
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        Cyclo(4, (Fraction(1), Fraction(0), Fraction(0)))
+    with pytest.raises(ValueError):
+        Cyclo(3, (Fraction(1),))
+    with pytest.raises(ValueError):
+        Cyclo(5, (1, 2, 3, 4, 5))
+    with pytest.raises(ValueError):
+        Cyclo.zero(4)
+    with pytest.raises(TypeError):
+        Cyclo(3, (1.5, 0))
+
+
+def test_arithmetic_results_are_canonical():
+    # results built by the trusted constructor equal publicly built ones
+    rng = random.Random(11)
+    for p in (2, 3, 5, 7):
+        a, b = rand_cyclo(rng, p), rand_cyclo(rng, p)
+        for r in (a + b, a - b, -a, a * b, a.inverse()):
+            assert type(r.coeffs) is tuple and len(r.coeffs) == p - 1
+            assert all(type(c) is Fraction for c in r.coeffs)
+            assert r == Cyclo(p, r.coeffs) and hash(r) == hash(Cyclo(p, r.coeffs))
+        assert Cyclo.zero(p) is Cyclo.zero(p)
+        assert (a - a) == Cyclo.zero(p)
