@@ -285,12 +285,23 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
     `depth` is the number of flow indices per independent time block;
     `cap` is the per-block truncation degree (the shared total-degree cap
     is cap * number-of-blocks).  The value is zero iff the identity holds
-    through the tested truncation.
+    through the tested truncation.  `dual` is U.orthogonal(), if the
+    caller already has it; BKP_GEN does not use it.
     """
     model = U.model
     want = identity_case(tag)
     if want is not None and model.case != want:
         raise ValueError("identity %s applies to the %s model" % (tag, want))
+    if tag == "BKP_GEN":
+        labels = ("t", "s", "u", "w", "v")[: model.p]
+        ext = dict(_kernel_count(U, l) for l in labels)
+        ring, blocks = identity_ring(model, labels, depth, model.p * cap, ext)
+        UL = U.lifted(ring)
+        fams = [_augmented_family(UL, blocks[l], ring, l) for l in labels]
+        value = wedge_residue([f for f, _ in fams])
+        return IdentityValue(tag, value, cap, depth,
+                             {"psi": fams[0][1].big_cell})
+    # every other identity pairs with the dual point
     if dual is None:
         dual = U.orthogonal()
     if tag in ("SIGMA_R", "SIGMA_NR", "MOD_R_1", "MOD_NR_1"):
@@ -303,15 +314,6 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
         value = residue_pairing(fam, adj)
         return IdentityValue(tag, value, cap, depth,
                              {"psi": ba.big_cell, "psi*": ba2.big_cell})
-    if tag == "BKP_GEN":
-        labels = ("t", "s", "u", "w", "v")[: model.p]
-        ext = dict(_kernel_count(U, l) for l in labels)
-        ring, blocks = identity_ring(model, labels, depth, model.p * cap, ext)
-        UL = U.lifted(ring)
-        fams = [_augmented_family(UL, blocks[l], ring, l) for l in labels]
-        value = wedge_residue([f for f, _ in fams])
-        return IdentityValue(tag, value, cap, depth,
-                             {"psi": fams[0][1].big_cell})
     if tag in ("MOD_R_2", "MOD_NR_2"):
         ext = dict([_kernel_count(U, "t"), _kernel_count(U, "s"),
                     _kernel_count(dual, "u")])

@@ -54,27 +54,31 @@ def jsonable(x):
 # ----------------------------------------------------------------- configuration
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_config(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     cfg = dict(obj)
     checks = cfg.get("checks")
-    if not checks:
+    if not isinstance(checks, list) or not checks:
         raise ConfigError("config needs a nonempty 'checks' list")
     for name in checks:
-        base = name if not name.startswith("CONN_") else "CONN_i"
-        if name not in CHECK_NAMES and base != "CONN_i":
+        if not isinstance(name, str) or (
+                name not in CHECK_NAMES and not name.startswith("CONN_")):
             raise ConfigError("unknown check %r (known: %s)" % (name, ", ".join(CHECK_NAMES)))
     window = cfg.get("window", [-12, 14])
     if not (isinstance(window, (list, tuple)) and len(window) == 2
-            and window[0] < window[1]):
-        raise ConfigError("window must be [lo, hi) with lo < hi")
-    cfg["window"] = [int(window[0]), int(window[1])]
-    cfg.setdefault("jet_cap", 1)
-    cfg.setdefault("flow_depth", 4)
-    cfg.setdefault("tangent_depth", 6)
-    if cfg["jet_cap"] < 0:
-        raise ConfigError("jet cap must be >= 0")
+            and all(_is_int(w) for w in window) and window[0] < window[1]):
+        raise ConfigError("window must be [lo, hi) with integers lo < hi")
+    cfg["window"] = list(window)
+    for key, default, least in (("jet_cap", 1, 0), ("flow_depth", 4, 1),
+                                ("tangent_depth", 6, 1)):
+        cfg.setdefault(key, default)
+        if not _is_int(cfg[key]) or cfg[key] < least:
+            raise ConfigError("%s must be an integer >= %d" % (key, least))
     if "curve" not in cfg and "point" not in cfg:
         raise ConfigError("config needs a 'curve' or a synthetic 'point'")
     return cfg
@@ -139,7 +143,7 @@ def _synthetic_point(kind: str, point_cfg: dict, model_cfg: dict) -> GrassPoint:
 # ----------------------------------------------------------------- check running
 
 
-def run_check(name: str, point: GrassPoint, cfg: dict) -> dict:
+def run_check(name: str, point: GrassPoint, cfg: dict, dual=None) -> dict:
     cap = cfg["jet_cap"]
     depth = cfg["flow_depth"]
     out = {"window": [point.stored_floor(), point.phi
@@ -188,7 +192,8 @@ def run_check(name: str, point: GrassPoint, cfg: dict) -> dict:
             val, used = None, None
             for d in range(depth, 0, -1):
                 try:
-                    val = residue_identity_eval(tag, point, depth=d, cap=cap)
+                    val = residue_identity_eval(tag, point, depth=d, cap=cap,
+                                                dual=dual)
                     used = d
                     break
                 except WindowError:
@@ -233,9 +238,18 @@ def run(cfg: dict) -> dict:
         if need is not None and need != point.model.case:
             raise ConfigError("check %s needs the %s model; this point is %s"
                               % (n, need, point.model.case))
+    # every identity but BKP_GEN pairs with the dual: build it once, at
+    # the first of them; one that cannot be built is left to each check
+    first_pairing = next((n for n in names if _phase(n) == 2 and n != "BKP_GEN"), None)
+    dual = None
     for n in names:
         t1 = time.time()
-        report["checks"][n] = run_check(n, point, cfg)
+        if n == first_pairing:
+            try:
+                dual = point.orthogonal()
+            except (WindowError, FrameError):
+                pass
+        report["checks"][n] = run_check(n, point, cfg, dual)
         report["timing"][n] = round(time.time() - t1, 6)
     report["timing"]["total"] = round(time.time() - t0, 6)
     report["verdict"] = overall_verdict(report)
@@ -328,12 +342,8 @@ def prym_search_constants(cfg: dict, constants=(1, 2, 3, -1)) -> dict:
     point = build_point(cfg)
     out = []
     for c in constants:
-        scaled = GrassPoint(point.model, point.ring,
-                            {n: r.scale(Cyclo.rational(point.model.p, Fraction(c)))
-                             for n, r in point.rows.items()},
-                            tail=point.tail, phi=point.phi,
-                            pivots_full_below=point.pivots_full_below,
-                            max_pivot_bound=point.max_pivot_bound)
+        k = Cyclo.rational(point.model.p, Fraction(c))
+        scaled = point._with_rows({n: r.scale(k) for n, r in point.rows.items()})
         try:
             ok, witness = scaled.isotropy_check()
             out.append({"constant": str(c), "isotropic": ok})

@@ -14,6 +14,7 @@ or raise `WindowError`; they never guess.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from .errors import FrameError, WindowError
@@ -76,21 +77,15 @@ class GrassPoint:
             suggest=n - self.phi + 1,
         )
 
-    def row_at(self, n: int):
-        """Stored row, or a materialized tail monomial; None elsewhere."""
-        r = self.rows.get(n)
-        if r is not None:
-            return r
-        if self.in_tail(n):
-            return VSeries.basis(self.model, self.ring, n)
-        return None
-
     def lifted(self, ring: JetRing) -> "GrassPoint":
         """The same frame over a larger jet ring."""
         if self.ring.compatible(ring):
             return self
-        return GrassPoint(self.model, ring,
-                          {n: r.lift(ring) for n, r in self.rows.items()},
+        return self._with_rows({n: r.lift(ring) for n, r in self.rows.items()}, ring)
+
+    def _with_rows(self, rows: dict, ring: JetRing | None = None) -> "GrassPoint":
+        """This frame's tail, window and pivot certificates over new rows."""
+        return GrassPoint(self.model, self.ring if ring is None else ring, rows,
                           tail=self.tail, phi=self.phi,
                           pivots_full_below=self.pivots_full_below,
                           max_pivot_bound=self.max_pivot_bound)
@@ -150,35 +145,53 @@ class GrassPoint:
         frame, v = self._aligned(v)
         if frame is not self:
             return frame.reduce(v)
-        m = self.model
-        # one mutable exponent -> coefficient map per component; the
-        # window is [lo, hi) = common window of v, phi and every row used
-        lo, hi = v.lo, v.hi
+        hi = v.hi
         if not _isinf(self.phi):
-            hi = min(hi, m.exp_window(0, self.phi)[1])
+            hi = min(hi, self.model.exp_window(0, self.phi)[1])
         comps = [{e: c for e, c in d.items() if e < hi} for d in v.comps]
+        lo, hi, used, blocked = self._clear(comps, v.lo, hi)
+        return VSeries(self.model, self.ring, comps, lo, hi), used, blocked
+
+    def _clear(self, comps, lo, hi, skip=None):
+        """Clear `comps` in place at the tail and at every row pivot but `skip`.
+
+        `comps` holds one exponent -> coefficient map per component, all
+        below `hi`.  Each pass sweeps the positions upwards; a pivot or tail
+        entry that a row puts above the sweep is cleared in the same pass,
+        one below it in the next.  Returns (lo, hi, used, blocked) as for
+        `reduce`; [lo, hi) is the common window of the input and every row
+        used.
+        """
+        m = self.model
+        rows, tail = self.rows, self.tail
         used = {}
         blocked = set()
         floor = self.stored_floor()
         for _ in range(self.ring.cap + 2):
             changed = False
-            for n in sorted(m.pos(ci + 1, e) for ci, d in enumerate(comps) for e in d):
+            todo = [m.pos(ci + 1, e) for ci, d in enumerate(comps) for e in d]
+            heapq.heapify(todo)
+            queued = set(todo)
+            while todo:
+                n = heapq.heappop(todo)
                 ci, e = m.unpos(n)
                 t = comps[ci - 1]
                 c = t.get(e)
-                if c is None:
+                if c is None or n == skip:
                     continue
                 if self.in_tail(n):
                     del t[e]
                     changed = True
                     continue
-                row = self.rows.get(n)
+                row = rows.get(n)
                 if row is not None:
                     if row.hi < hi:
                         hi = row.hi
-                        comps = [{e2: a for e2, a in d.items() if e2 < hi} for d in comps]
+                        for d in comps:
+                            for e2 in [e2 for e2 in d if e2 >= hi]:
+                                del d[e2]
                     lo = min(lo, row.lo)
-                    for d, rd in zip(comps, row.comps):
+                    for k, (d, rd) in enumerate(zip(comps, row.comps)):
                         for e2, a in rd.items():
                             if e2 >= hi:
                                 continue
@@ -186,18 +199,26 @@ class GrassPoint:
                             if x.is_zero():
                                 continue
                             s = d.get(e2)
-                            s = -x if s is None else s - x
-                            if s.is_zero():
-                                del d[e2]
+                            if s is None:
+                                d[e2] = -x
+                                q = m.pos(k + 1, e2)
+                                if q > n and q not in queued and (
+                                        q in rows or tail is not None and e2 < tail[k]):
+                                    heapq.heappush(todo, q)
+                                    queued.add(q)
                             else:
-                                d[e2] = s
+                                s = s - x
+                                if s.is_zero():
+                                    del d[e2]
+                                else:
+                                    d[e2] = s
                     used[n] = used.get(n, self.ring.zero()) + c
                     changed = True
                 elif floor is not None and n < floor and self.pivots_full_below:
                     blocked.add(n)
             if not changed:
                 break
-        return VSeries(m, self.ring, comps, lo, hi), used, blocked
+        return lo, hi, used, blocked
 
     def membership(self, v: VSeries) -> bool:
         """Certified membership of v within the common window."""
@@ -221,10 +242,8 @@ class GrassPoint:
         m = self.model
         if m.case == "R":
             # positions are fixed; only the pivot normalization changes
-            new_rows = {n: r.sigma().scale(m.xi_pow(-n)) for n, r in self.rows.items()}
-            return GrassPoint(m, self.ring, new_rows, tail=self.tail, phi=self.phi,
-                              pivots_full_below=self.pivots_full_below,
-                              max_pivot_bound=self.max_pivot_bound)
+            return self._with_rows({n: r.sigma().scale(m.xi_pow(-n))
+                                    for n, r in self.rows.items()})
         # NR: the component rotation can reorder positions inside a level
         tail = (self.tail[-1],) + self.tail[:-1] if self.tail is not None else None
         e_top = m.unpos(self.max_pivot_bound)[1]
@@ -582,15 +601,6 @@ class GrassPoint:
 
     # ------------------------------------------------------------------ misc
 
-    def frame_text(self):
-        lines = ["chi=%d d_full=%d pivot_bound=%d" % (
-            self.index_chi(), self.d_full(), self.max_pivot_bound)]
-        for n in sorted(self.rows):
-            lines.append("%d: %s" % (n, self.rows[n].to_text()))
-        if self.tail is not None:
-            lines.append("tail bounds: %s" % (self.tail,))
-        return "\n".join(lines)
-
     def __repr__(self):
         try:
             chi = self.index_chi()
@@ -620,7 +630,12 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
                              "not a frame over this jet ring")
         lead = residual.pos_coeff(piv)
         shell.rows[piv] = residual.scale(lead.inverse())
-    _back_reduce(shell)
+    # back-reduce: clear each row at the other rows' pivots and the tail
+    for n in sorted(shell.rows):
+        r = shell.rows[n]
+        comps = [dict(d) for d in r.comps]
+        lo, hi, _, _ = shell._clear(comps, r.lo, r.hi, skip=n)
+        shell.rows[n] = VSeries(model, ring, comps, lo, hi)
     if max_pivot_bound is None:
         shell.max_pivot_bound = max(shell.rows) if shell.rows else -1
         if tail is not None:
@@ -629,29 +644,6 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
                 + [model.pos(i + 1, t - 1) for i, t in enumerate(tail)])
     shell.pivots_full_below = pivots_full_below or tail is not None
     return shell
-
-
-def _back_reduce(frame: GrassPoint):
-    """Clear every row at the other rows' pivots; iterate (nilpotent junk)."""
-    for _ in range(frame.ring.cap + 2):
-        changed = False
-        for n in sorted(frame.rows):
-            r = frame.rows[n]
-            for other in sorted(frame.rows):
-                if other == n:
-                    continue
-                c = r.pos_coeff(other)
-                if not c.is_zero():
-                    r = r - frame.rows[other].scale(c)
-                    changed = True
-            if frame.tail is not None:
-                for q, c in list(r.pos_items()):
-                    if q != n and frame.in_tail(q) and not c.is_zero():
-                        r = r - VSeries.basis(frame.model, frame.ring, q, c)
-                        changed = True
-            frame.rows[n] = r
-        if not changed:
-            break
 
 
 def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor,

@@ -40,6 +40,36 @@ def _isinf(x) -> bool:
     return x == INF
 
 
+def _add_into(t: dict, d: dict) -> dict:
+    """Add the exponent -> coefficient map d into t, in place; zero sums drop."""
+    for e, c in d.items():
+        s = t.get(e)
+        s = c if s is None else s + c
+        if s.is_zero():
+            t.pop(e, None)
+        else:
+            t[e] = s
+    return t
+
+
+def _mul_terms(d1: dict, d2: dict, hi) -> dict:
+    """Product of two exponent -> coefficient maps, exponents below hi."""
+    t = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            e = e1 + e2
+            if e >= hi:
+                continue
+            c = c1 * c2
+            s = t.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                t.pop(e, None)
+            else:
+                t[e] = s
+    return t
+
+
 class Model:
     """Shape of V: the prime p, the case, and the root of unity used by sigma."""
 
@@ -162,14 +192,7 @@ class BaseSeries:
     def __add__(self, other):
         if not isinstance(other, BaseSeries):
             return NotImplemented
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(e, None)
-            else:
-                t[e] = s
+        t = _add_into(dict(self.terms), other.terms)
         hi = min(self.hi, other.hi)
         return BaseSeries(self.ring, {e: c for e, c in t.items() if e < hi},
                           min(self.lo, other.lo), hi)
@@ -189,20 +212,7 @@ class BaseSeries:
             return NotImplemented
         lo = self.lo + other.lo
         hi = min(self.lo + other.hi, other.lo + self.hi)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e >= hi:
-                    continue
-                c = c1 * c2
-                s = t.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    t.pop(e, None)
-                else:
-                    t[e] = s
-        return BaseSeries(self.ring, t, lo, hi)
+        return BaseSeries(self.ring, _mul_terms(self.terms, other.terms, hi), lo, hi)
 
     __rmul__ = __mul__
 
@@ -417,17 +427,8 @@ class VSeries:
             return NotImplemented
         self._check(other)
         hi = min(self.hi, other.hi)
-        comps = []
-        for d1, d2 in zip(self.comps, other.comps):
-            t = dict(d1)
-            for e, c in d2.items():
-                s = t.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    t.pop(e, None)
-                else:
-                    t[e] = s
-            comps.append({e: c for e, c in t.items() if e < hi})
+        comps = [{e: c for e, c in _add_into(dict(d1), d2).items() if e < hi}
+                 for d1, d2 in zip(self.comps, other.comps)]
         return VSeries(self.model, self.ring, comps, min(self.lo, other.lo), hi)
 
     def __neg__(self):
@@ -461,22 +462,7 @@ class VSeries:
                 "empty result window [%s,%s) in product" % (lo, hi),
                 suggest=lo - hi + 1,
             )
-        comps = []
-        for d1, d2 in zip(self.comps, other.comps):
-            t = {}
-            for e1, c1 in d1.items():
-                for e2, c2 in d2.items():
-                    e = e1 + e2
-                    if e >= hi:
-                        continue
-                    c = c1 * c2
-                    s = t.get(e)
-                    s = c if s is None else s + c
-                    if s.is_zero():
-                        t.pop(e, None)
-                    else:
-                        t[e] = s
-            comps.append(t)
+        comps = [_mul_terms(d1, d2, hi) for d1, d2 in zip(self.comps, other.comps)]
         return VSeries(self.model, self.ring, comps, lo, hi)
 
     __rmul__ = __mul__
@@ -538,13 +524,7 @@ class VSeries:
                               INF if _isinf(self.hi) else _ceildiv(self.hi, m.p))
         t = {}
         for d in self.comps:
-            for e, c in d.items():
-                s = t.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    t.pop(e, None)
-                else:
-                    t[e] = s
+            _add_into(t, d)
         return BaseSeries(self.ring, t, self.lo, self.hi)
 
     def norm(self) -> BaseSeries:

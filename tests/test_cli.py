@@ -14,7 +14,8 @@ from prymlab.cli import (
     selftest,
     sweep,
 )
-from prymlab.errors import ConfigError
+from prymlab.errors import ConfigError, WindowError
+from prymlab.grass import GrassPoint
 
 
 def y2x5_config(**extra):
@@ -192,3 +193,69 @@ def test_usage_error_is_a_config_error(tmp_path, capsys):
     _one_line_config_error(capsys, main(["no-such-command"]))
     _one_line_config_error(
         capsys, main(["--config", str(cfg_path), "sweep", "--steps", "0"]))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tangent_depth", 0),      # would report tangent 0 as a pass
+    ("flow_depth", 0),         # would read as window-insufficient
+    ("jet_cap", "x"),
+    ("jet_cap", -1),
+    ("window", ["a", "b"]),
+    ("window", [-12.5, 14]),   # would be cut to -12
+    ("checks", "chi"),
+])
+def test_bad_numeric_config_is_a_config_error(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = y2x5_config(checks=["chi", "tangent"])
+    cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    _one_line_config_error(capsys, main(["--config", str(cfg_path), "check"]))
+
+
+def _count_duals(monkeypatch, fail=False):
+    calls = []
+    orthogonal = GrassPoint.orthogonal
+
+    def counting(self):
+        calls.append(self)
+        if fail:
+            raise WindowError("no dual in this window")
+        return orthogonal(self)
+
+    monkeypatch.setattr(GrassPoint, "orthogonal", counting)
+    return calls
+
+
+def _dual_config():
+    # flow depth 6 is more than this window certifies: SIGMA_R and MOD_R_2
+    # retry at smaller depths
+    return y2x5_config(window=[-10, 14], flow_depth=6,
+                       checks=["SIGMA_R", "MOD_R_2", "MOD_R_3"], expect={})
+
+
+def test_identity_checks_share_one_dual(monkeypatch):
+    calls = _count_duals(monkeypatch)
+    report = run(_dual_config())
+    used = [c["flow_depth"] for c in report["checks"].values()]
+    assert report["verdict"] == "pass" and min(used) < 6
+    assert len(calls) == 1
+
+
+def test_bkp_gen_builds_no_dual(monkeypatch):
+    calls = _count_duals(monkeypatch)
+    report = run({"model": {"p": 2, "case": "R"},
+                  "point": {"type": "u_n", "n": 1, "N": -1},
+                  "flow_depth": 4, "checks": ["BKP_GEN"]})
+    assert report["verdict"] == "pass"
+    assert calls == []
+
+
+def test_a_dual_that_cannot_be_built_is_reported_per_check(monkeypatch):
+    calls = _count_duals(monkeypatch, fail=True)
+    report = run(_dual_config())
+    for name, check in report["checks"].items():
+        assert check["verdict"] == "window-insufficient"
+        assert check["detail"] == ("identity %s not certifiable at any flow depth "
+                                   "up to 6 in this window" % name)
+    # one attempt before the first identity, then every depth of every check
+    assert len(calls) == 1 + 3 * 6

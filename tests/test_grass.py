@@ -5,10 +5,11 @@ import pytest
 
 from conftest import frames_agree, rand_scalar, random_point
 
-from prymlab import grass
+from prymlab import grass, krichever
+from prymlab.errors import FrameError, WindowError
 from prymlab.grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from prymlab.jets import JetRing
-from prymlab.krichever import CurveSpec, algebra_point
+from prymlab.krichever import CurveSpec, FunctionRep, algebra_point, module_point
 from prymlab.linalg import nullspace, rank_of_vectors
 from prymlab.scalars import Cyclo
 from prymlab.vseries import INF, Model, VSeries, _isinf, flow_exponential, residue_pairing
@@ -529,11 +530,11 @@ def _random_jet(rng, ring, p):
     return c
 
 
-def _random_jet_frame(rng, model, ring, with_tail):
-    """Frame with nilpotent junk off the pivots (cap > 0), rows whose
-    window starts below their pivot or ends below other pivots, and either
-    a monomial tail or a finite window with a full-below certificate (so
-    reductions can be blocked)."""
+def _random_jet_inputs(rng, model, ring, with_tail):
+    """(vectors, build_frame keywords) of a frame with nilpotent junk off
+    the pivots (cap > 0), rows whose window starts below their pivot or
+    ends below other pivots, and either a monomial tail or a finite window
+    with a full-below certificate (so reductions can be blocked)."""
     p = model.p
     edge = model.pos(1, -2)
     positions = list(range(edge, edge + 6 * p))
@@ -551,9 +552,14 @@ def _random_jet_frame(rng, model, ring, with_tail):
                           edge + rng.randint(6 * p, 9 * p)])
         vectors.append(VSeries.from_positions(model, ring, data, phi=top))
     if with_tail:
-        return build_frame(model, ring, vectors, tail=(-2,) * model.ncomp)
-    return build_frame(model, ring, vectors, phi=edge + 8 * p,
-                       pivots_full_below=True, max_pivot_bound=edge + 6 * p)
+        return vectors, {"tail": (-2,) * model.ncomp}
+    return vectors, {"phi": edge + 8 * p, "pivots_full_below": True,
+                     "max_pivot_bound": edge + 6 * p}
+
+
+def _random_jet_frame(rng, model, ring, with_tail):
+    vectors, kwargs = _random_jet_inputs(rng, model, ring, with_tail)
+    return build_frame(model, ring, vectors, **kwargs)
 
 
 @pytest.mark.parametrize("cap", [0, 2])
@@ -574,3 +580,165 @@ def test_reduce_matches_reference(cap):
                 assert got[0] == want[0]          # coefficients and window
                 assert got[1] == want[1]
                 assert got[2] == want[2]
+
+
+# ------------------------------------------------------------------ build_frame: reference
+#
+# The frame builder as it was before it shared its reduction with
+# `reduce`: the forward pass used the snapshot reduction above (each pass
+# visits the positions present when it starts), and the back-reduction
+# cleared every row at the other pivots, then at the tail, with one
+# VSeries per step.
+
+
+def _reference_back_reduce(frame):
+    for _ in range(frame.ring.cap + 2):
+        changed = False
+        for n in sorted(frame.rows):
+            r = frame.rows[n]
+            for other in sorted(frame.rows):
+                if other == n:
+                    continue
+                c = r.pos_coeff(other)
+                if not c.is_zero():
+                    r = r - frame.rows[other].scale(c)
+                    changed = True
+            if frame.tail is not None:
+                for q, c in list(r.pos_items()):
+                    if q != n and frame.in_tail(q) and not c.is_zero():
+                        r = r - VSeries.basis(frame.model, frame.ring, q, c)
+                        changed = True
+            frame.rows[n] = r
+        if not changed:
+            break
+
+
+def _reference_build_frame(model, ring, vectors, *, tail=None, phi=INF,
+                           pivots_full_below=False, max_pivot_bound=None):
+    """(frame, same_path): `same_path` is False when some forward
+    reduction differs from the package's `reduce` on the same partial
+    frame, i.e. a pass put an entry at a pivot or the tail above the
+    positions it started with."""
+    shell = GrassPoint(model, ring, {}, tail=tail, phi=phi,
+                       pivots_full_below=False,
+                       max_pivot_bound=0 if max_pivot_bound is None else max_pivot_bound)
+    same_path = True
+    for v in vectors:
+        if not ring.compatible(v.ring):
+            v = v.lift(ring)
+        residual, used, _ = _reference_reduce(shell, v)
+        got, got_used, _ = shell.reduce(v)
+        same_path = same_path and got == residual and got_used == used
+        if residual.is_zero_certified():
+            continue
+        piv = residual.leading_unit_position()
+        if piv is None:
+            raise FrameError("generator reduces to a nilpotent-only vector")
+        lead = residual.pos_coeff(piv)
+        shell.rows[piv] = residual.scale(lead.inverse())
+    _reference_back_reduce(shell)
+    if max_pivot_bound is None:
+        shell.max_pivot_bound = max(shell.rows) if shell.rows else -1
+        if tail is not None:
+            shell.max_pivot_bound = max(
+                [shell.max_pivot_bound]
+                + [model.pos(i + 1, t - 1) for i, t in enumerate(tail)])
+    shell.pivots_full_below = pivots_full_below or tail is not None
+    return shell, same_path
+
+
+def _recorded_builds(monkeypatch, make):
+    """Every (model, ring, vectors, keywords) that `make()` builds a frame from."""
+    calls = []
+
+    def recording(model, ring, vectors, **kwargs):
+        vectors = list(vectors)
+        calls.append((model, ring, vectors, kwargs))
+        return build_frame(model, ring, vectors, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(grass, "build_frame", recording)
+        mp.setattr(krichever, "build_frame", recording)
+        make()
+    return calls
+
+
+def _compare_with_reference(model, ring, vectors, kwargs):
+    """True when the frame equals the reference's; False when the reference
+    took another reduction path, where the frame must still be reduced and
+    contain every generator."""
+    try:
+        want, same_path = _reference_build_frame(model, ring, vectors, **kwargs)
+    except FrameError:
+        with pytest.raises(FrameError):
+            build_frame(model, ring, vectors, **kwargs)
+        return True
+    got = build_frame(model, ring, vectors, **kwargs)
+    if same_path:
+        assert got.rows == want.rows      # VSeries equality compares windows
+        assert (got.max_pivot_bound, got.pivots_full_below, got.tail, got.phi) == \
+            (want.max_pivot_bound, want.pivots_full_below, want.tail, want.phi)
+        return True
+    for n, r in got.rows.items():
+        assert r.pos_coeff(n) == ring.one()
+        assert all(q == n or (q not in got.rows and not got.in_tail(q))
+                   for q, _ in r.pos_items())
+    assert all(got.membership(v) for v in vectors)
+    return False
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_build_frame_matches_reference_on_random_frames(monkeypatch, cap):
+    rng = random.Random(5200 + cap)
+    same = other = 0
+    for case, p in (("R", 2), ("R", 3), ("NR", 2), ("NR", 3)):
+        m = Model(p, case)
+        ring = JetRing(p, ("w1", "w2"), cap=cap) if cap else scalar_ring(p)
+        for trial in range(8):
+            vectors, kwargs = _random_jet_inputs(rng, m, ring, with_tail=trial % 2 == 0)
+            calls = [(m, ring, vectors, kwargs)]
+            try:
+                U = build_frame(m, ring, vectors, **kwargs)
+                # the dual's frame is built from U's rows
+                calls += _recorded_builds(monkeypatch, U.orthogonal)
+            except (FrameError, WindowError):
+                pass
+            for call in calls:
+                if _compare_with_reference(*call):
+                    same += 1
+                else:
+                    other += 1
+    assert same >= 40 and other <= same // 10
+
+
+def test_build_frame_matches_reference_on_fixture_frames(monkeypatch):
+    def fixtures():
+        nr = random_point(random.Random(8), Model(3, "NR"), scalar_ring(3))
+        nr.sigma_point()
+        m = Model(2, "R")
+        ring = JetRing.with_blocks(2, {"t": 2}, 1)
+        U = random_point(random.Random(9), m, scalar_ring(2))
+        U.group_act(flow_exponential(m, ring, {1: ring.var("t1"), 3: ring.var("t2")}))
+        u_n_point(Model(3, "R"), scalar_ring(3), 2, -1)
+        u_n_point(Model(2, "NR"), scalar_ring(2), 1, 0)
+        # the degree-1 line bundle {1, y/(x-1)} on y^2 = x^5 - 1
+        gens = [FunctionRep.one(), FunctionRep({(0, 1): 1}, {(1, 0): 1, (0, 0): -1})]
+        module_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), gens, 12)
+
+    calls = _recorded_builds(monkeypatch, fixtures)
+    assert len(calls) >= 8
+    assert all(_compare_with_reference(*call) for call in calls)
+
+
+def test_build_frame_keeps_a_generator_behind_a_later_pivot():
+    # reducing z^0 + z^5 subtracts the row at 0, which meets the later
+    # pivot 2, whose row meets the later pivot 4: all three must clear in
+    # one pass, or the residual's lead lands on pivot 4 and replaces z^4
+    m = Model(2, "R")
+    R = scalar_ring(2)
+    gens = [VSeries.from_positions(m, R, d) for d in
+            ({0: 1, 2: 1}, {2: 1, 4: 1}, {4: 1}, {0: 1, 5: 1})]
+    U = build_frame(m, R, gens, tail=(0,))
+    assert sorted(U.rows) == [0, 2, 4, 5]
+    assert all(U.membership(g) for g in gens)
+    assert U.index_chi() == 4

@@ -397,3 +397,108 @@ def test_vseries_inverse():
     for n, c in prod.pos_items():
         if n != 0:
             assert c.is_zero()
+
+
+# ---------------------------------------------------------------- kernels vs the old loops
+#
+# `+`, `*` and `trace` of both series types once spelled out their own
+# accumulate-and-prune loop; these are those loops.  The shared kernels
+# must give the same terms and windows.
+
+
+def _old_add_terms(d1, d2, hi):
+    t = dict(d1)
+    for e, c in d2.items():
+        s = t.get(e)
+        s = c if s is None else s + c
+        if s.is_zero():
+            t.pop(e, None)
+        else:
+            t[e] = s
+    return {e: c for e, c in t.items() if e < hi}
+
+
+def _old_mul_terms(d1, d2, hi):
+    t = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            e = e1 + e2
+            if e >= hi:
+                continue
+            c = c1 * c2
+            s = t.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                t.pop(e, None)
+            else:
+                t[e] = s
+    return t
+
+
+def _old_trace_terms(comps):
+    t = {}
+    for d in comps:
+        for e, c in d.items():
+            s = t.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                t.pop(e, None)
+            else:
+                t[e] = s
+    return t
+
+
+def _rand_terms(rng, ring, p, lo, hi):
+    """Sparse terms with small coefficients, so sums often cancel."""
+    d = {}
+    for e in range(lo, hi):
+        if rng.random() < 0.6:
+            c = ring.const(Cyclo(p, [Fraction(rng.randint(-1, 1)) for _ in range(p - 1)]))
+            if ring.cap and rng.random() < 0.4:
+                c = c + ring.var("w", rng.randint(-1, 1))
+            if not c.is_zero():
+                d[e] = c
+    return d
+
+
+def _rand_window(rng):
+    lo = rng.randint(-5, 1)
+    return lo, (INF if rng.random() < 0.3 else lo + rng.randint(1, 9))
+
+
+def _base_key(b):
+    return b.terms, b.lo, b.hi
+
+
+@pytest.mark.parametrize("case,p,cap", [("R", 2, 0), ("R", 3, 1), ("NR", 2, 1), ("NR", 3, 0)])
+def test_series_kernels_match_the_old_loops(case, p, cap):
+    rng = random.Random(31 * p + cap + (7 if case == "NR" else 0))
+    m = Model(p, case)
+    ring = JetRing(p, ("w",), cap=cap) if cap else scalar_ring(p)
+    for _ in range(60):
+        (la, ha), (lb, hb) = _rand_window(rng), _rand_window(rng)
+        ta = [_rand_terms(rng, ring, p, la, min(ha, la + 9)) for _ in range(m.ncomp)]
+        tb = [_rand_terms(rng, ring, p, lb, min(hb, lb + 9)) for _ in range(m.ncomp)]
+        a, b = VSeries(m, ring, ta, la, ha), VSeries(m, ring, tb, lb, hb)
+        hi = min(ha, hb)
+        want = VSeries(m, ring, [_old_add_terms(x, y, hi) for x, y in zip(ta, tb)],
+                       min(la, lb), hi)
+        assert a + b == want
+        lo, hi = la + lb, min(la + hb, lb + ha)
+        if hi == INF or hi > lo:
+            want = VSeries(m, ring, [_old_mul_terms(x, y, hi) for x, y in zip(ta, tb)],
+                           lo, hi)
+            assert a * b == want
+        else:
+            with pytest.raises(WindowError):
+                a * b
+        if case == "NR":
+            want = BaseSeries(ring, _old_trace_terms(ta), la, ha)
+            assert _base_key(a.trace()) == _base_key(want)
+        ba, bb = BaseSeries(ring, ta[0], la, ha), BaseSeries(ring, tb[0], lb, hb)
+        hi = min(ha, hb)
+        assert _base_key(ba + bb) == _base_key(
+            BaseSeries(ring, _old_add_terms(ta[0], tb[0], hi), min(la, lb), hi))
+        lo, hi = la + lb, min(la + hb, lb + ha)
+        assert _base_key(ba * bb) == _base_key(
+            BaseSeries(ring, _old_mul_terms(ta[0], tb[0], hi), lo, hi))
