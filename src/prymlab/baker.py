@@ -22,7 +22,7 @@ MOD_R_1..3, MOD_NR_1..3, CONN_i.
 
 from __future__ import annotations
 
-from .errors import BigCellError, WindowError
+from .errors import BigCellError, FrameError, WindowError
 from .grass import GrassPoint
 from .jets import JetRing
 from .vseries import (
@@ -285,8 +285,9 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
     `depth` is the number of flow indices per independent time block;
     `cap` is the per-block truncation degree (the shared total-degree cap
     is cap * number-of-blocks).  The value is zero iff the identity holds
-    through the tested truncation.  `dual` is U.orthogonal(), if the
-    caller already has it; BKP_GEN does not use it.
+    through the tested truncation.  `dual` is U.orthogonal(), or the
+    WindowError or FrameError that building it raised, if the caller
+    already has it; BKP_GEN does not use it.
     """
     model = U.model
     want = identity_case(tag)
@@ -304,6 +305,8 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
     # every other identity pairs with the dual point
     if dual is None:
         dual = U.orthogonal()
+    elif isinstance(dual, (WindowError, FrameError)):
+        raise dual
     if tag in ("SIGMA_R", "SIGMA_NR", "MOD_R_1", "MOD_NR_1"):
         sig = U.sigma_point()
         ext = dict([_kernel_count(sig, "t"), _kernel_count(dual, "s")])

@@ -239,7 +239,8 @@ def run(cfg: dict) -> dict:
             raise ConfigError("check %s needs the %s model; this point is %s"
                               % (n, need, point.model.case))
     # every identity but BKP_GEN pairs with the dual: build it once, at
-    # the first of them; one that cannot be built is left to each check
+    # the first of them; a dual that cannot be built is tried once too,
+    # and its error is handed to each check, which raises it
     first_pairing = next((n for n in names if _phase(n) == 2 and n != "BKP_GEN"), None)
     dual = None
     for n in names:
@@ -247,8 +248,8 @@ def run(cfg: dict) -> dict:
         if n == first_pairing:
             try:
                 dual = point.orthogonal()
-            except (WindowError, FrameError):
-                pass
+            except (WindowError, FrameError) as e:
+                dual = e
         report["checks"][n] = run_check(n, point, cfg, dual)
         report["timing"][n] = round(time.time() - t1, 6)
     report["timing"]["total"] = round(time.time() - t0, 6)

@@ -341,9 +341,13 @@ def gamma_factor(g: VSeries):
         c = work.comps[ci][e]
         if not c.is_nilpotent():
             raise ValueError("principal part is not nilpotent")
+        # exp(-c/w0 z^e) clears z^e to first order in c, w0 the unit at z^0
+        c = c * work.comps[ci][0].inverse()
         key = -e if m.case == "R" else (ci + 1, -e)
         coords[key] = coords.get(key, ring.zero()) + c
         inv = flow_exponential(m, ring, {key: -c})
         work = work * inv
+    else:
+        raise ValueError("principal part not cleared in 500 steps")
     consts = [work.comps[ci].get(0, ring.zero()) for ci in range(m.ncomp)]
     return shifts, FlowCoords(m, ring, "cover", coords), consts, work

@@ -21,7 +21,7 @@ from .errors import FrameError, WindowError
 from .jets import JetRing
 from .linalg import nullspace, rank_of_vectors
 from .scalars import Cyclo
-from .vseries import INF, Model, VSeries, _isinf, wedge_residue
+from .vseries import INF, Model, VSeries, _isinf, wedge_residue, wedge_step
 
 _DEEP = -(10 ** 9)
 
@@ -414,28 +414,19 @@ class GrassPoint:
 
         Returns (True, None) or (False, witness positions).  Tuples whose
         residue is not window-certifiable raise WindowError unless a nonzero
-        witness settles the verdict first.
+        witness settles the verdict first.  The search carries the minors
+        of the chosen prefix (`wedge_step`), so tuples sharing a prefix
+        share its minors and each tuple's wedge costs p series products.
         """
         m = self.model
         cands = self._wedge_candidates()
         cands.sort(key=lambda t: t[1], reverse=True)
+        coords = [r.coordinates() for r, _, _ in cands]
         pend = []
         witness = None
 
-        def search(start, chosen, upper_sum):
+        def search(start, chosen, upper_sum, minors):
             nonlocal witness
-            if witness is not None:
-                return
-            if len(chosen) == m.p:
-                rows = [cands[j][0] for j in chosen]
-                try:
-                    val = wedge_residue(rows)
-                except WindowError:
-                    pend.append(tuple(cands[j][2] for j in chosen))
-                    return
-                if not val.is_zero():
-                    witness = tuple(cands[j][2] for j in chosen)
-                return
             need = m.p - len(chosen)
             for j in range(start, len(cands) - need + 1):
                 if witness is not None:
@@ -443,9 +434,21 @@ class GrassPoint:
                 best = upper_sum + sum(cands[j + k][1] for k in range(need))
                 if best < -1:
                     break  # candidates sorted by upper: no completion can reach -1
-                search(j + 1, chosen + [j], upper_sum + cands[j][1])
+                if need > 1:
+                    search(j + 1, chosen + [j], upper_sum + cands[j][1],
+                           wedge_step(minors, coords[j]))
+                    continue
+                tup = chosen + [j]
+                try:
+                    val = wedge_residue([cands[i][0] for i in tup],
+                                        head=(minors, coords[j]))
+                except WindowError:
+                    pend.append(tuple(cands[i][2] for i in tup))
+                    continue
+                if not val.is_zero():
+                    witness = tuple(cands[i][2] for i in tup)
 
-        search(0, [], 0)
+        search(0, [], 0, None)
         if witness is not None:
             return False, witness
         if pend:

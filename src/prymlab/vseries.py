@@ -19,6 +19,7 @@ class n mod p picks the distinguished-basis coordinate.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import inf
 
@@ -590,37 +591,64 @@ def residue_pairing(a: VSeries, b: VSeries) -> JetPoly:
     return t.terms.get(-1, a.ring.zero())
 
 
-def _det(rows) -> BaseSeries:
-    """Determinant of a square matrix of BaseSeries, by first-column expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for i in range(n):
-        lead = rows[i][0]
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = lead * _det(minor)
-        if i % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+def wedge_step(minors, col) -> dict:
+    """Extend the minors of a k-vector prefix by one more coordinate column.
+
+    `minors` maps each sorted k-tuple of coordinate classes to the
+    BaseSeries minor of the prefix's columns on those rows (None for the
+    empty prefix); `col` is the next vector's p coordinate series.  The
+    (k+1)-minors come from Laplace expansion along the new last column,
+    with sign (-1)^(i+k) for the i-th row of the subset, so folding this
+    step over the columns of a matrix gives its determinant with the usual
+    sign.  A k -> k+1 step costs C(p, k+1) * (k+1) series products.
+
+    The result is the same BaseSeries, window and terms alike, as any
+    other division-free expansion, e.g. by cofactors: a product's window
+    is [lo1+lo2, min(lo1+hi2, lo2+hi1)) and a sum's is [min lo, min hi),
+    and both rules distribute over sums, so every expansion of the
+    determinant into signed products of entries has lo equal to the
+    min-plus permanent of the entries' lo and hi equal to the minimum,
+    over permutations and factors, of one factor's hi plus the others'
+    lo.  Below a common hi the stored terms are the exact coefficients of
+    the determinant, whatever the order of the sums.
+    """
+    if minors is None:
+        return {(r,): c for r, c in enumerate(col)}
+    k = len(next(iter(minors)))
+    out = {}
+    for rows in itertools.combinations(range(len(col)), k + 1):
+        acc = None
+        for i, r in enumerate(rows):
+            term = col[r] * minors[rows[:i] + rows[i + 1:]]
+            if (i + k) % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        out[rows] = acc
+    return out
 
 
-def wedge_residue(us) -> JetPoly:
+def wedge_residue(us, head=None) -> JetPoly:
     """Skew p-form: res_{z=0} of the determinant of coordinate series.
 
-    `us` is a sequence of p VSeries over a common model and ring.
+    `us` is a sequence of p VSeries over a common model and ring; the
+    determinant has the coordinate classes as rows and us as columns and
+    is folded column by column with `wedge_step`, p*2^(p-1) - p series
+    products in all.  `head`, if the caller already has it, is the pair
+    (minors of us[:-1], coordinates of us[-1]); the fold then takes only
+    its last step, p products.
     """
     us = list(us)
     model = us[0].model
     ring = us[0].ring
     if len(us) != model.p:
         raise ValueError("wedge form takes exactly p arguments")
-    mat = []
-    coords = [u.coordinates() for u in us]
-    for k in range(model.p):
-        mat.append([coords[l][k] for l in range(model.p)])
-    det = _det(mat)
+    if head is None:
+        minors = None
+        for u in us:
+            minors = wedge_step(minors, u.coordinates())
+    else:
+        minors = wedge_step(*head)
+    (det,) = minors.values()
     if -1 < det.lo:
         return ring.zero()
     if -1 >= det.hi:

@@ -257,5 +257,5 @@ def test_a_dual_that_cannot_be_built_is_reported_per_check(monkeypatch):
         assert check["verdict"] == "window-insufficient"
         assert check["detail"] == ("identity %s not certifiable at any flow depth "
                                    "up to 6 in this window" % name)
-    # one attempt before the first identity, then every depth of every check
-    assert len(calls) == 1 + 3 * 6
+    # one attempt, before the first identity; every check reuses its error
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rand_scalar
 
+from prymlab import flows
 from prymlab.flows import (
     FlowCoords,
     abel_coords,
@@ -257,3 +258,33 @@ def test_gamma_factorization():
             assert all(s == 0 for s in shifts)
             recomposed = fc.element() * work
             assert recomposed.comps == g.comps
+
+
+def test_gamma_factor_recovers_the_principal_flow():
+    # g = exp(flow) * 2 * (plus unit): the flow comes back, and the V+
+    # factor has no negative exponents left
+    rng = random.Random(6)
+    for case, p in (("R", 2), ("NR", 2), ("R", 3), ("NR", 3)):
+        m = Model(p, case)
+        R = JetRing(p, ("a1", "a2"), cap=2)
+        coords = ({1: R.var("a1"), 2: R.var("a2", 3)} if case == "R"
+                  else {(1, 1): R.var("a1"), (2, 2): R.var("a2", 3)})
+        plus = VSeries(m, R, [{0: R.one(), 1: R.const(rng.randint(1, 3))}
+                              for _ in range(m.ncomp)], 0)
+        g = flow_exponential(m, R, coords) * plus * VSeries.one(m, R).scale(2)
+        shifts, fc, consts, work = gamma_factor(g)
+        assert all(e >= 0 for d in work.comps for e in d)
+        assert {k: v for k, v in fc.coords.items() if not v.is_zero()} == coords
+        assert consts == [R.const(2)] * m.ncomp
+
+
+def test_gamma_factor_raises_when_its_step_cap_runs_out(monkeypatch):
+    # a flow step that clears nothing: the loop must not return the
+    # partial factorization it holds after 500 steps
+    m = Model(2, "R")
+    R = JetRing(2, ("a1",), cap=2)
+    g = flow_exponential(m, R, {1: R.var("a1")})
+    monkeypatch.setattr(flows, "flow_exponential",
+                        lambda model, ring, coords: VSeries.one(model, ring))
+    with pytest.raises(ValueError, match="500 steps"):
+        gamma_factor(g)

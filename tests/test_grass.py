@@ -1,11 +1,13 @@
 import functools
 import random
+import time
 
 import pytest
 
 from conftest import frames_agree, rand_scalar, random_point
 
 from prymlab import grass, krichever
+from prymlab.cli import run
 from prymlab.errors import FrameError, WindowError
 from prymlab.grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from prymlab.jets import JetRing
@@ -742,3 +744,108 @@ def test_build_frame_keeps_a_generator_behind_a_later_pivot():
     assert sorted(U.rows) == [0, 2, 4, 5]
     assert all(U.membership(g) for g in gens)
     assert U.index_chi() == 4
+
+
+# ------------------------------------------------------------------ isotropy vs the per-tuple search
+#
+# `isotropy_check` once built every tuple's wedge from scratch; this is
+# that search.  The prefix-minor search must visit the same tuples in the
+# same order and give the same verdict, witness or error.
+
+
+def _reference_isotropy_check(U):
+    m = U.model
+    cands = U._wedge_candidates()
+    cands.sort(key=lambda t: t[1], reverse=True)
+    pend = []
+    witness = None
+
+    def search(start, chosen, upper_sum):
+        nonlocal witness
+        if witness is not None:
+            return
+        if len(chosen) == m.p:
+            rows = [cands[j][0] for j in chosen]
+            try:
+                val = grass.wedge_residue(rows)
+            except WindowError:
+                pend.append(tuple(cands[j][2] for j in chosen))
+                return
+            if not val.is_zero():
+                witness = tuple(cands[j][2] for j in chosen)
+            return
+        need = m.p - len(chosen)
+        for j in range(start, len(cands) - need + 1):
+            if witness is not None:
+                return
+            best = upper_sum + sum(cands[j + k][1] for k in range(need))
+            if best < -1:
+                break
+            search(j + 1, chosen + [j], upper_sum + cands[j][1])
+
+    search(0, [], 0)
+    if witness is not None:
+        return False, witness
+    if pend:
+        raise WindowError(
+            "isotropy: %d candidate tuples not certifiable in window" % len(pend))
+    return True, None
+
+
+def _recorded_isotropy(monkeypatch, check, U):
+    """(outcome, texts of the tuples handed to wedge_residue, in order)."""
+    seen = []
+    wedge = grass.wedge_residue
+
+    def recording(us, **kwargs):
+        seen.append(tuple(u.to_text() for u in us))
+        return wedge(us, **kwargs)
+
+    monkeypatch.setattr(grass, "wedge_residue", recording)
+    try:
+        out = check(U)
+    except WindowError as e:
+        out = "WindowError: %s" % e
+    monkeypatch.setattr(grass, "wedge_residue", wedge)
+    return out, seen
+
+
+def _y5_point(window):
+    return algebra_point(CurveSpec(5, [1, 0, 1, 1]), -window[0], window[1])
+
+
+def _isotropy_cases():
+    for p in (5, 7):
+        for case in ("R", "NR"):
+            for big_n in (-1, 0, 1):
+                for n in (1, 2):
+                    yield "u_n p=%d %s N=%d n=%d" % (p, case, big_n, n), \
+                        functools.partial(u_n_point, Model(p, case), scalar_ring(p), n, big_n)
+    for window in ([-10, 14], [-12, 18]):
+        yield "y5 %s" % window, functools.partial(_y5_point, window)
+
+
+@pytest.mark.parametrize("name,make", list(_isotropy_cases()),
+                         ids=[name for name, _ in _isotropy_cases()])
+def test_isotropy_matches_the_per_tuple_search(monkeypatch, name, make):
+    U = make()
+    want, want_seen = _recorded_isotropy(monkeypatch, _reference_isotropy_check, U)
+    got, got_seen = _recorded_isotropy(monkeypatch, GrassPoint.isotropy_check, U)
+    assert got == want
+    assert got_seen == want_seen
+
+
+@pytest.mark.parametrize("p,f,window,tuples", [
+    (5, ["1", "0", "1", "1"], [-20, 30], 6188),
+    (7, ["1", "1", "1"], [-14, 22], 792),
+])
+def test_isotropy_p5_p7_curve_jobs_finish(p, f, window, tuples):
+    # these took 17 s and 49 s with one cofactor determinant per tuple;
+    # CPU time, so that other load on the machine does not count
+    t0 = time.process_time()
+    report = run({"curve": {"p": p, "f": f}, "point": {"type": "algebra"},
+                  "window": window, "checks": ["isotropy"]})
+    assert time.process_time() - t0 < 2
+    check = report["checks"]["isotropy"]
+    assert check["verdict"] == "window-insufficient"
+    assert check["detail"] == "isotropy: %d candidate tuples not certifiable in window" % tuples

@@ -5,17 +5,52 @@ import importlib.util
 from pathlib import Path
 
 import prymlab.cli  # noqa: F401  (imports every module the tracer wraps)
+from prymlab import grass
+from prymlab.grass import u_n_point
+from prymlab.jets import JetRing
+from prymlab.vseries import Model
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_trace_target_exists():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    t = tracer.Tracer()
+    return tracer.Tracer()
+
+
+def test_every_trace_target_exists():
+    t = _tracer()
     try:
         t.install()
         assert t.missing == []
     finally:
         t.uninstall()
+
+
+def test_isotropy_traces_one_wedge_span_per_tuple(monkeypatch):
+    # `grass.isotropy.tuples` and its certified ratio count these spans
+    t = _tracer()
+    try:
+        t.install()
+        traced = grass.wedge_residue
+        tuples = []
+
+        def counting(us, **kwargs):
+            tuples.append(tuple(us))
+            return traced(us, **kwargs)
+
+        monkeypatch.setattr(grass, "wedge_residue", counting)
+        ok, witness = u_n_point(Model(5, "NR"), JetRing.scalar(5), 2, 1).isotropy_check()
+    finally:
+        monkeypatch.undo()
+        t.uninstall()
+    assert not ok and witness is not None
+    names = {sid: name for sid, name, *_ in t.spans}
+    wedges = [(parent, ok) for _, name, _, _, _, parent, _, ok in t.spans
+              if name == "vseries.wedge_residue"]
+    assert len(tuples) > 1
+    assert len(wedges) == len(tuples)
+    assert all(names[parent] == "grass.isotropy_check" for parent, _ in wedges)
+    assert wedges[-1][1]  # the witness tuple's residue was certified

@@ -15,6 +15,7 @@ from prymlab.vseries import (
     pth_root_series,
     residue_pairing,
     wedge_residue,
+    wedge_step,
 )
 
 
@@ -502,3 +503,105 @@ def test_series_kernels_match_the_old_loops(case, p, cap):
         lo, hi = la + lb, min(la + hb, lb + ha)
         assert _base_key(ba * bb) == _base_key(
             BaseSeries(ring, _old_mul_terms(ta[0], tb[0], hi), lo, hi))
+
+
+# ---------------------------------------------------------------- wedge kernel vs cofactors
+#
+# The wedge determinant was once expanded by cofactors along the first
+# column; this is that expansion.  The exterior-step fold must give the
+# same series: terms, window and sign.
+
+
+def _old_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = None
+    for i in range(n):
+        lead = rows[i][0]
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = lead * _old_det(minor)
+        if i % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _fold(cols):
+    minors = None
+    for col in cols:
+        minors = wedge_step(minors, col)
+    (det,) = minors.values()
+    return det
+
+
+def _rand_entry(rng, ring, p, span):
+    """A sparse entry on a random window; some hold no terms."""
+    lo = rng.randint(-3, 1)
+    hi = INF if rng.random() < 0.75 else lo + rng.randint(1, 12)
+    if rng.random() < 0.15:
+        return BaseSeries(ring, {}, lo, hi)
+    d = {}
+    for e in range(lo, min(hi, lo + span)):
+        if rng.random() < 0.5:
+            c = ring.const(Cyclo(p, [Fraction(rng.randint(-1, 1)) for _ in range(p - 1)]))
+            if ring.cap and rng.random() < 0.4:
+                c = c + ring.var("w", rng.randint(-1, 1))
+            if not c.is_zero():
+                d[e] = c
+    return BaseSeries(ring, d, lo, hi)
+
+
+@pytest.mark.parametrize("p,cap,count", [(2, 0, 40), (2, 1, 40), (3, 0, 30), (3, 1, 30),
+                                         (5, 0, 6), (5, 1, 6), (7, 0, 1), (7, 1, 1)])
+def test_wedge_fold_matches_cofactor_expansion(p, cap, count):
+    rng = random.Random(97 * p + cap)
+    ring = JetRing(p, ("w",), cap=cap) if cap else scalar_ring(p)
+    span = 3 if p < 7 else 2
+    for _ in range(count):
+        cols = [[_rand_entry(rng, ring, p, span) for _ in range(p)] for _ in range(p)]
+        want = _old_det([[cols[l][k] for l in range(p)] for k in range(p)])
+        got = _fold(cols)
+        assert (got.lo, got.hi, got.terms) == (want.lo, want.hi, want.terms)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except WindowError as e:
+        return "WindowError: %s" % e
+
+
+@pytest.mark.parametrize("case,p", [("R", 3), ("NR", 3), ("R", 5), ("NR", 5)])
+def test_wedge_head_matches_the_full_fold(case, p):
+    rng = random.Random(11 * p + (1 if case == "NR" else 0))
+    m = Model(p, case)
+    R = scalar_ring(p)
+    for _ in range(8):
+        # coordinates on z-exponents [-1, top): the residue is certified
+        # about when top >= p - 1
+        top = rng.randint(p - 2, p + 1)
+        lo, hi = (-p, p * top) if case == "R" else (-1, top)
+        us = [rand_vseries(rng, m, R, lo=lo, hi=hi, density=0.3) for _ in range(p)]
+        minors = None
+        for u in us[:-1]:
+            minors = wedge_step(minors, u.coordinates())
+        head = (minors, us[-1].coordinates())
+        assert _outcome(wedge_residue, us, head=head) == _outcome(wedge_residue, us)
+
+
+def test_wedge_p7_costs_at_most_p_times_2_to_p_minus_1_products(monkeypatch):
+    rng = random.Random(7)
+    m = Model(7, "R")
+    R = scalar_ring(7)
+    us = [rand_vseries(rng, m, R, lo=-3, hi=4, density=0.3) for _ in range(7)]
+    calls = []
+    mul = BaseSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(BaseSeries, "__mul__", counting)
+    _outcome(wedge_residue, us)
+    assert 0 < len(calls) <= 7 * 2 ** 6
