@@ -42,49 +42,58 @@ IDENTITY_TAGS = (
 )
 
 
-def normalizing_element(model: Model, ring: JetRing, m: int) -> VSeries:
-    """The index-m normalizing element v_m."""
+def _zone(model: Model, m: int) -> list:
+    """Per-component exponents of v_m (one component in the ramified case)."""
     if model.case == "R":
-        return VSeries.monomial(model, ring, 1, m)
+        return [m]
     sign = 1 if m >= 0 else -1
     q, r = divmod(abs(m), model.p)
-    comps = []
-    for i in range(1, model.p + 1):
-        a = q + 1 if i <= r else q
-        comps.append({sign * a: ring.one()})
-    lo = min(min(d) for d in comps)
-    return VSeries(model, ring, comps, lo, INF)
+    return [sign * (q + 1 if i < r else q) for i in range(model.p)]
+
+
+def _monomials(model: Model, ring: JetRing, exps) -> VSeries:
+    """The monomial vector with z^exps[i] in component i + 1."""
+    return VSeries(model, ring, [{e: ring.one()} for e in exps], min(exps), INF)
+
+
+def normalizing_element(model: Model, ring: JetRing, m: int) -> VSeries:
+    """The index-m normalizing element v_m."""
+    return _monomials(model, ring, _zone(model, m))
 
 
 def v_over_z(model: Model, ring: JetRing, m: int) -> VSeries:
     """v_m / z_. as an exact monomial vector."""
-    v = normalizing_element(model, ring, m)
-    comps = [{e - 1: c for e, c in d.items()} for d in v.comps]
-    return VSeries(model, ring, comps, v.lo - 1, INF)
+    return _monomials(model, ring, [e - 1 for e in _zone(model, m)])
+
+
+def _in_zone(model: Model, zone, n: int) -> bool:
+    """Whether position n lies in v_m V+, for `zone` the exponents of v_m."""
+    comp, e = model.unpos(n)
+    return e >= zone[comp - 1]
+
+
+def _kernel_rows(U: GrassPoint, m: int) -> list:
+    """Rows of U in the v_m V+ zone (the directions a big-cell wave solve
+    would never reach).  Empty exactly when U cap v_m V+ = 0."""
+    model = U.model
+    zone = _zone(model, m)
+    rows = [U.rows[n] for n in U.pivot_positions() if _in_zone(model, zone, n)]
+    if U.tail is not None:
+        for i, (floor, t) in enumerate(zip(zone, U.tail)):
+            rows.extend(VSeries.monomial(model, U.ring, i + 1, e) for e in range(floor, t))
+    return rows
 
 
 class BAFunction:
     """Wave family of a point: u(t) in U tensor R and psi = (z_./v_m) u."""
 
-    __slots__ = ("point", "m_index", "ring", "coords", "u", "psi",
-                 "big_cell", "normalization")
+    __slots__ = ("ring", "u", "psi", "big_cell")
 
-    def __init__(self, point, m_index, ring, coords, u, psi, big_cell):
-        self.point = point
-        self.m_index = m_index
+    def __init__(self, ring, u, psi, big_cell):
         self.ring = ring
-        self.coords = coords
         self.u = u
         self.psi = psi
         self.big_cell = big_cell
-        self.normalization = "big-cell" if big_cell else "window-frame"
-
-    def generating(self) -> VSeries:
-        return self.u
-
-    def coordinates(self):
-        """The p coordinate series of u over the distinguished basis."""
-        return self.u.coordinates()
 
 
 def _flow_coords_dict(coords):
@@ -103,61 +112,41 @@ def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> B
     """
     model, ring = U.model, U.ring
     cdict = _flow_coords_dict(coords)
-    ring2 = None
-    for c in cdict.values():
-        if hasattr(c, "ring"):
-            ring2 = c.ring
-            break
+    ring2 = next((c.ring for c in cdict.values() if hasattr(c, "ring")), None)
     if ring2 is not None and not ring.compatible(ring2):
         U = U.lifted(ring2)
         ring = ring2
     m = U.index_chi()
-    g = flow_exponential(model, ring, cdict)
-    E = v_over_z(model, ring, m) * g
+    zone = _zone(model, m)
+    E = v_over_z(model, ring, m) * flow_exponential(model, ring, cdict)
     residual, used, blocked = U.reduce(E)
     if blocked:
         raise WindowError(
             "wave solve needs rows below the stored window (positions %s); "
             "use fewer flow indices or a deeper frame" % sorted(blocked))
     u = E - residual
-    # big-cell diagnosis: the kernel U cap v_m V+ must vanish and the
-    # residual must live in v_m V+ (no obstruction at deep gap positions)
-    vm = normalizing_element(model, ring, m)
-    zone_floor = {i + 1: min(d) for i, d in enumerate(vm.comps)}
-    kernel = []
-    for n in U.pivot_positions():
-        comp, e = model.unpos(n)
-        if e >= zone_floor[comp]:
-            kernel.append(n)
-    if U.tail is not None:
-        for i in range(1, model.ncomp + 1):
-            if U.tail[i - 1] > zone_floor[i]:
-                kernel.append(model.pos(i, zone_floor[i]))
-    obstructed = []
-    for n, c in residual.pos_items():
-        comp, e = model.unpos(n)
-        if e < zone_floor[comp] and not c.is_zero():
-            obstructed.append(n)
+    # big cell: U cap v_m V+ = 0, and the residual lives in v_m V+ (no
+    # obstruction at deep gap positions)
+    kernel = _kernel_rows(U, m)
+    obstructed = [n for n, c in residual.pos_items()
+                  if not _in_zone(model, zone, n) and not c.is_zero()]
     big_cell = not kernel and not obstructed
     if require_big_cell and not big_cell:
         raise BigCellError(
-            "point is not transverse to v_%d V+ (kernel pivots %s, "
-            "obstructed positions %s)" % (m, sorted(kernel), sorted(obstructed)))
+            "point is not transverse to v_%d V+ (kernel rows at %s, "
+            "obstructed positions %s)"
+            % (m, sorted(r.leading_position() for r in kernel), sorted(obstructed)))
     # psi = (z_./v_m) u, via the exact inverse of the monomial vector
-    inv_comps = [{1 - e: c for e, c in d.items()} for d in vm.comps]
-    zv_inv = VSeries(model, ring, inv_comps, min(min(d) for d in inv_comps), INF)
-    psi = zv_inv * u
-    return BAFunction(U, m, ring, cdict, u, psi, big_cell)
+    psi = _monomials(model, ring, [1 - e for e in zone]) * u
+    return BAFunction(ring, u, psi, big_cell)
 
 
 def adjoint_baker(U: GrassPoint, coords, *, dual=None,
                   require_big_cell: bool = True) -> BAFunction:
     """Wave family of the orthogonal point with negated flow times."""
-    cdict = _flow_coords_dict(coords)
-    neg = {k: -c for k, c in cdict.items()}
-    if dual is None:
-        dual = U.orthogonal()
-    return baker_akhiezer(dual, neg, require_big_cell=require_big_cell)
+    neg = {k: -c for k, c in _flow_coords_dict(coords).items()}
+    return baker_akhiezer(U.orthogonal() if dual is None else dual, neg,
+                          require_big_cell=require_big_cell)
 
 
 # ------------------------------------------------------------------ jet blocks
@@ -171,86 +160,58 @@ def identity_ring(model: Model, labels, depth: int, cap: int,
     indices 1..depth (times p components in the non-ramified case).
     `extensions` reserves kernel-completion variables `<label>x<k>`.
     """
+    if model.case == "R":
+        keys = {j: "%d" % j for j in range(1, depth + 1)}
+    else:
+        keys = {(i, j): "%d_%d" % (i, j)
+                for i in range(1, model.p + 1) for j in range(1, depth + 1)}
     names = []
     if cap > 0:
         for label in labels:
-            if model.case == "R":
-                names.extend("%s%d" % (label, j) for j in range(1, depth + 1))
-            else:
-                names.extend("%s%d_%d" % (label, i, j)
-                             for i in range(1, model.p + 1)
-                             for j in range(1, depth + 1))
-            for k in range(1, (extensions or {}).get(label, 0) + 1):
-                names.append("%sx%d" % (label, k))
+            names.extend(label + s for s in keys.values())
+            names.extend("%sx%d" % (label, k)
+                         for k in range(1, (extensions or {}).get(label, 0) + 1))
     ring = JetRing(model.p, tuple(names), cap)
-    blocks = {}
-    for label in labels:
-        if cap == 0:
-            blocks[label] = {}
-        elif model.case == "R":
-            blocks[label] = {j: ring.var("%s%d" % (label, j))
-                             for j in range(1, depth + 1)}
-        else:
-            blocks[label] = {(i, j): ring.var("%s%d_%d" % (label, i, j))
-                             for i in range(1, model.p + 1)
-                             for j in range(1, depth + 1)}
+    blocks = {label: {k: ring.var(label + s) for k, s in keys.items()} if cap > 0 else {}
+              for label in labels}
     return ring, blocks
 
 
-def _kernel_rows(U: GrassPoint, m: int):
-    """Rows of U in the v_m V+ zone (the directions a big-cell wave solve
-    would never reach). Empty exactly on the big cell."""
-    model, ring = U.model, U.ring
-    vm = normalizing_element(model, ring, m)
-    zone_floor = {i + 1: min(d) for i, d in enumerate(vm.comps)}
-    rows = []
-    for n in U.pivot_positions():
-        comp, e = model.unpos(n)
-        if e >= zone_floor[comp]:
-            rows.append(U.rows[n])
-    if U.tail is not None:
-        for i in range(1, model.ncomp + 1):
-            for e in range(zone_floor[i], U.tail[i - 1]):
-                rows.append(VSeries.monomial(model, ring, i, e))
-    return rows
+def _families(sources, depth: int, cap: int) -> tuple:
+    """Wave families of (point, label, flow sign) sources in one jet ring
+    of total cap len(sources) * cap; returns (families, big-cell flags).
 
-
-def _augmented_family(point: GrassPoint, coords, ring: JetRing, label: str):
-    """Wave family of the point, completed by its kernel-zone rows.
-
-    The completion attaches one fresh variable per kernel row (names
-    `<label>x1`, ...); on the big cell there is nothing to attach and the
-    family is the literal wave family.
+    A family off the big cell is completed by its kernel-zone rows, one
+    fresh variable `<label>x<k>` each (none at cap 0); the identities are
+    multilinear in generating families, so this changes no verdict.
     """
-    ba = baker_akhiezer(point, coords, require_big_cell=False)
-    fam = ba.u
-    if not ba.big_cell:
-        kern = _kernel_rows(point.lifted(ring), point.index_chi())
-        for idx, row in enumerate(kern):
-            name = "%sx%d" % (label, idx + 1)
-            if name not in ring.index:
-                break
-            fam = fam + row.scale(ring.var(name))
-    return fam, ba
-
-
-def _kernel_count(point: GrassPoint, label: str) -> tuple:
-    m = point.index_chi()
-    return label, len(_kernel_rows(point, m))
+    kernels = [_kernel_rows(point, point.index_chi()) for point, _, _ in sources]
+    ring, blocks = identity_ring(
+        sources[0][0].model, [label for _, label, _ in sources], depth,
+        len(sources) * cap, {s[1]: len(k) for s, k in zip(sources, kernels)})
+    lifts, fams, cells = {}, [], []
+    for (point, label, sign), kernel in zip(sources, kernels):
+        if id(point) not in lifts:
+            lifts[id(point)] = point.lifted(ring)
+        coords = blocks[label] if sign > 0 else {k: -c for k, c in blocks[label].items()}
+        ba = baker_akhiezer(lifts[id(point)], coords, require_big_cell=False)
+        fam = ba.u
+        if not ba.big_cell and cap > 0:
+            for k, row in enumerate(kernel, 1):
+                fam = fam + row.lift(ring).scale(ring.var("%sx%d" % (label, k)))
+        fams.append(fam)
+        cells.append(ba.big_cell)
+    return fams, cells
 
 
 class IdentityValue:
     """Exact jet-valued left-hand side of a residue identity."""
 
-    __slots__ = ("tag", "value", "cap", "depth", "big_cell", "component")
+    __slots__ = ("value", "big_cell")
 
-    def __init__(self, tag, value, cap, depth, big_cell, component=None):
-        self.tag = tag
+    def __init__(self, value, big_cell):
         self.value = value
-        self.cap = cap
-        self.depth = depth
         self.big_cell = big_cell
-        self.component = component
 
     def is_zero(self) -> bool:
         if isinstance(self.value, dict):
@@ -269,13 +230,40 @@ class IdentityValue:
 
 def identity_case(tag: str) -> str | None:
     """The model case ("R" or "NR") an identity tag needs; None for both."""
-    if tag.startswith("CONN_"):
+    if tag.startswith("CONN_") or tag.endswith("_NR") or "_NR_" in tag:
         return "NR"
-    if tag.endswith("_R") or "_R_" in tag:
-        return "R"
-    if tag.endswith("_NR") or "_NR_" in tag:
-        return "NR"
-    return None
+    return "R" if tag.endswith("_R") or "_R_" in tag else None
+
+
+def identity_key(tag: str) -> str:
+    """The tag whose evaluation `tag` shares: MOD_*_1 is the SIGMA_*
+    pairing; every other tag is its own."""
+    return {"MOD_R_1": "SIGMA_R", "MOD_NR_1": "SIGMA_NR"}.get(tag, tag)
+
+
+def conn_components(tag: str, p: int) -> tuple:
+    """The components CONN_i (all of them) or CONN_<k> (k, 1 <= k <= p)
+    pairs with; empty for any other tag."""
+    if tag == "CONN_i":
+        return tuple(range(1, p + 1))
+    return tuple(k for k in range(1, p + 1) if tag == "CONN_%d" % k)
+
+
+# each identity's families, as (point, label, flow sign) with the point U,
+# its sigma image or the dual, and the step that combines them
+_DUAL_T = (("dual", "t", -1),)
+_IDENTITIES = {
+    "SIGMA": ((("sigma", "t", 1), ("dual", "s", -1)),
+              lambda f, comps: residue_pairing(f[0], f[1])),
+    "MOD_2": ((("U", "t", 1), ("U", "s", 1), ("dual", "u", -1)),
+              lambda f, comps: residue_pairing(f[0] * f[1], f[2])),
+    "MOD_3": (_DUAL_T, lambda f, comps: residue_pairing(
+        VSeries.one(f[0].model, f[0].ring), f[0])),
+    "CONN": (_DUAL_T, lambda f, comps: {i: residue_pairing(
+        VSeries.unit_vector(f[0].model, f[0].ring, i), f[0]) for i in comps}),
+    "BKP_GEN": (tuple(("U", label, 1) for label in "tsuwv"),
+                lambda f, comps: wedge_residue(f)),
+}
 
 
 def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
@@ -293,65 +281,26 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
     want = identity_case(tag)
     if want is not None and model.case != want:
         raise ValueError("identity %s applies to the %s model" % (tag, want))
-    if tag == "BKP_GEN":
-        labels = ("t", "s", "u", "w", "v")[: model.p]
-        ext = dict(_kernel_count(U, l) for l in labels)
-        ring, blocks = identity_ring(model, labels, depth, model.p * cap, ext)
-        UL = U.lifted(ring)
-        fams = [_augmented_family(UL, blocks[l], ring, l) for l in labels]
-        value = wedge_residue([f for f, _ in fams])
-        return IdentityValue(tag, value, cap, depth,
-                             {"psi": fams[0][1].big_cell})
-    # every other identity pairs with the dual point
-    if dual is None:
-        dual = U.orthogonal()
+    comps = conn_components(tag, model.p)
+    if tag not in IDENTITY_TAGS and not comps:
+        raise ValueError("unknown identity tag %r" % tag)
+    entry = "CONN" if comps else identity_key(tag).replace("_NR", "").replace("_R", "")
+    spec, combine = _IDENTITIES[entry]
+    if entry == "BKP_GEN":
+        spec = spec[:model.p]
     elif isinstance(dual, (WindowError, FrameError)):
         raise dual
-    if tag in ("SIGMA_R", "SIGMA_NR", "MOD_R_1", "MOD_NR_1"):
-        sig = U.sigma_point()
-        ext = dict([_kernel_count(sig, "t"), _kernel_count(dual, "s")])
-        ring, blocks = identity_ring(model, ("t", "s"), depth, 2 * cap, ext)
-        fam, ba = _augmented_family(sig.lifted(ring), blocks["t"], ring, "t")
-        adj, ba2 = _augmented_family(
-            dual.lifted(ring), {k: -c for k, c in blocks["s"].items()}, ring, "s")
-        value = residue_pairing(fam, adj)
-        return IdentityValue(tag, value, cap, depth,
-                             {"psi": ba.big_cell, "psi*": ba2.big_cell})
-    if tag in ("MOD_R_2", "MOD_NR_2"):
-        ext = dict([_kernel_count(U, "t"), _kernel_count(U, "s"),
-                    _kernel_count(dual, "u")])
-        ring, blocks = identity_ring(model, ("t", "s", "u"), depth, 3 * cap, ext)
-        UL = U.lifted(ring)
-        f1, b1 = _augmented_family(UL, blocks["t"], ring, "t")
-        f2, _ = _augmented_family(UL, blocks["s"], ring, "s")
-        adj, b3 = _augmented_family(
-            dual.lifted(ring), {k: -c for k, c in blocks["u"].items()}, ring, "u")
-        value = residue_pairing(f1 * f2, adj)
-        return IdentityValue(tag, value, cap, depth,
-                             {"psi": b1.big_cell, "psi*": b3.big_cell})
-    if tag in ("MOD_R_3", "MOD_NR_3"):
-        ext = dict([_kernel_count(dual, "t")])
-        ring, blocks = identity_ring(model, ("t",), depth, cap, ext)
-        adj, ba = _augmented_family(
-            dual.lifted(ring), {k: -c for k, c in blocks["t"].items()}, ring, "t")
-        value = residue_pairing(VSeries.one(model, ring), adj)
-        return IdentityValue(tag, value, cap, depth, {"psi*": ba.big_cell})
-    if tag == "CONN_i" or tag.startswith("CONN_"):
-        which = None
-        if tag not in ("CONN_i",):
-            which = int(tag.split("_")[1])
-        ext = dict([_kernel_count(dual, "t")])
-        ring, blocks = identity_ring(model, ("t",), depth, cap, ext)
-        adj, ba = _augmented_family(
-            dual.lifted(ring), {k: -c for k, c in blocks["t"].items()}, ring, "t")
-        values = {}
-        for i in range(1, model.p + 1):
-            if which is not None and i != which:
-                continue
-            values[i] = residue_pairing(VSeries.unit_vector(model, ring, i), adj)
-        return IdentityValue(tag, values, cap, depth,
-                             {"psi*": ba.big_cell}, component=which)
-    raise ValueError("unknown identity tag %r" % tag)
+    elif dual is None:
+        dual = U.orthogonal()
+    points = {"U": U, "dual": dual}
+    if entry == "SIGMA":
+        points["sigma"] = U.sigma_point()
+    sources = [(points[name], label, sign) for name, label, sign in spec]
+    fams, cells = _families(sources, depth, cap)
+    big_cell = {}
+    for (_, _, sign), cell in zip(sources, cells):
+        big_cell.setdefault("psi" if sign > 0 else "psi*", cell)
+    return IdentityValue(combine(fams, comps), big_cell)
 
 
 def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:
@@ -366,8 +315,7 @@ def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:
     model = U.model
     ring, blocks = identity_ring(model, ("t",), depth, cap)
     UL = U.lifted(ring)
-    sig = UL.sigma_point()
-    lhs = baker_akhiezer(sig, blocks["t"], require_big_cell=False)
+    lhs = baker_akhiezer(UL.sigma_point(), blocks["t"], require_big_cell=False)
     # inverse sigma* on coordinates
     tpp = {}
     for key, var in blocks["t"].items():
@@ -376,14 +324,10 @@ def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:
         else:
             i, j = key
             tpp[((i - 2) % model.p + 1, j)] = var  # t''^(i) = t^(i+1)
-    g = flow_exponential(model, ring, tpp)
-    m = UL.index_chi()
-    voz = v_over_z(model, ring, m)
-    voz_prev = voz.sigma_power(model.p - 1)  # sigma^{-1} of the monomial vector
-    E = voz_prev * g
+    # sigma^{-1} of the monomial vector v_m/z_., times the substituted flow
+    E = v_over_z(model, ring, UL.index_chi()).sigma_power(model.p - 1) \
+        * flow_exponential(model, ring, tpp)
     residual, _, blocked = UL.reduce(E)
     if blocked:
         raise WindowError("transform check needs a deeper frame window")
-    rhs = (E - residual).sigma()
-    diff = lhs.u - rhs
-    return diff.is_zero_certified()
+    return (lhs.u - (E - residual).sigma()).is_zero_certified()

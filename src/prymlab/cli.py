@@ -15,7 +15,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .baker import IDENTITY_TAGS, identity_case, residue_identity_eval
+from .baker import (
+    IDENTITY_TAGS,
+    conn_components,
+    identity_case,
+    identity_key,
+    residue_identity_eval,
+)
 from .errors import BigCellError, ConfigError, FrameError, PrymlabError, WindowError
 from .grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from .jets import JetRing
@@ -104,16 +110,19 @@ def build_point(cfg: dict) -> GrassPoint:
         curve = _curve_from_config(cfg)
         if kind == "algebra":
             return algebra_point(curve, -lo, hi)
-        gens = [FunctionRep.from_json(g) for g in point_cfg.get("generators", [])]
-        if not gens:
-            raise ConfigError("module point needs generators")
-        return module_point(curve, gens, -lo, hi)
+        try:
+            gens = [FunctionRep.from_json(g) for g in point_cfg.get("generators", [])]
+            if gens:
+                return module_point(curve, gens, -lo, hi)
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ConfigError("bad module generators: %s" % e)
+        raise ConfigError("module point needs generators")
     model_cfg = cfg.get("model")
     if not model_cfg:
         raise ConfigError("synthetic points need a 'model' entry")
     try:
         return _synthetic_point(kind, point_cfg, model_cfg)
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError("bad %s point: %s" % (kind, e))
 
 
@@ -143,7 +152,20 @@ def _synthetic_point(kind: str, point_cfg: dict, model_cfg: dict) -> GrassPoint:
 # ----------------------------------------------------------------- check running
 
 
-def run_check(name: str, point: GrassPoint, cfg: dict, dual=None) -> dict:
+def _identity_at_depths(tag: str, point: GrassPoint, depth: int, cap: int, dual):
+    """(value, flow depth) at the largest flow depth up to `depth` that the
+    window certifies; (None, None) if there is none."""
+    for d in range(depth, 0, -1):
+        try:
+            return residue_identity_eval(tag, point, depth=d, cap=cap, dual=dual), d
+        except WindowError:
+            continue
+    return None, None
+
+
+def run_check(name: str, point: GrassPoint, cfg: dict, dual=None, shared=None) -> dict:
+    """One check's report entry.  `shared` maps identity_key(tag) to the
+    (value, flow depth) of an identity evaluated earlier in the run."""
     cap = cfg["jet_cap"]
     depth = cfg["flow_depth"]
     out = {"window": [point.stored_floor(), point.phi
@@ -189,15 +211,11 @@ def run_check(name: str, point: GrassPoint, cfg: dict, dual=None) -> dict:
             out["verdict"] = "pass" if expect in (None, val) else "fail"
         else:
             tag = name
-            val, used = None, None
-            for d in range(depth, 0, -1):
-                try:
-                    val = residue_identity_eval(tag, point, depth=d, cap=cap,
-                                                dual=dual)
-                    used = d
-                    break
-                except WindowError:
-                    continue
+            shared = {} if shared is None else shared
+            key = identity_key(tag)
+            if key not in shared:
+                shared[key] = _identity_at_depths(tag, point, depth, cap, dual)
+            val, used = shared[key]
             if val is None:
                 raise WindowError("identity %s not certifiable at any flow depth "
                                   "up to %d in this window" % (tag, depth))
@@ -229,7 +247,7 @@ def run(cfg: dict) -> dict:
     t0 = time.time()
     point = build_point(cfg)
     report = {"config": {k: v for k, v in cfg.items() if k != "out"},
-              "checks": {}, "timing": {}}
+              "checks": {}, "timing": {"build": round(time.time() - t0, 6)}}
     order = sorted(cfg["checks"],
                    key=lambda n: (_phase(n), cfg["checks"].index(n)))
     names = list(dict.fromkeys(order))
@@ -238,11 +256,15 @@ def run(cfg: dict) -> dict:
         if need is not None and need != point.model.case:
             raise ConfigError("check %s needs the %s model; this point is %s"
                               % (n, need, point.model.case))
+        if n.startswith("CONN_") and not conn_components(n, point.model.p):
+            raise ConfigError("check %s names no component (CONN_i or CONN_1 .. "
+                              "CONN_%d)" % (n, point.model.p))
     # every identity but BKP_GEN pairs with the dual: build it once, at
     # the first of them; a dual that cannot be built is tried once too,
     # and its error is handed to each check, which raises it
     first_pairing = next((n for n in names if _phase(n) == 2 and n != "BKP_GEN"), None)
-    dual = None
+    # SIGMA_* and MOD_*_1 are one pairing: it is evaluated once
+    dual, shared = None, {}
     for n in names:
         t1 = time.time()
         if n == first_pairing:
@@ -250,7 +272,7 @@ def run(cfg: dict) -> dict:
                 dual = point.orthogonal()
             except (WindowError, FrameError) as e:
                 dual = e
-        report["checks"][n] = run_check(n, point, cfg, dual)
+        report["checks"][n] = run_check(n, point, cfg, dual, shared)
         report["timing"][n] = round(time.time() - t1, 6)
     report["timing"]["total"] = round(time.time() - t0, 6)
     report["verdict"] = overall_verdict(report)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,8 +155,10 @@ def test_main_identity(tmp_path):
 
 
 def test_console_script_help():
+    # run from src/, so the package imports whether or not it is installed
     proc = subprocess.run([sys.executable, "-m", "prymlab.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          cwd=Path(__file__).resolve().parents[1] / "src")
     assert proc.returncode == 0
     assert "prym-search" in proc.stdout
 
@@ -259,3 +262,93 @@ def test_a_dual_that_cannot_be_built_is_reported_per_check(monkeypatch):
                                    "up to 6 in this window" % name)
     # one attempt, before the first identity; every check reuses its error
     assert len(calls) == 1
+
+
+def test_sigma_and_mod_1_are_evaluated_once(monkeypatch):
+    import prymlab.cli as cli
+
+    calls = []
+    evaluate = cli.residue_identity_eval
+
+    def counting(tag, *args, **kwargs):
+        calls.append(tag)
+        return evaluate(tag, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "residue_identity_eval", counting)
+    # flow depth 6 is more than the window certifies: the pairing retries
+    cfg = y2x5_config(window=[-10, 14], flow_depth=6, checks=["SIGMA_R"], expect={})
+    alone = run(cfg)["checks"]["SIGMA_R"]
+    once = len(calls)
+    assert alone["flow_depth"] < 6 and once > 1
+    calls.clear()
+    cfg["checks"] = ["SIGMA_R", "MOD_R_1"]
+    cfg["expect"] = {"MOD_R_1": False}
+    report = run(cfg)
+    assert len(calls) == once
+    both = report["checks"]
+    assert both["SIGMA_R"] == alone
+    # each name keeps its own expectation
+    assert {k: v for k, v in both["MOD_R_1"].items() if k != "verdict"} == \
+        {k: v for k, v in alone.items() if k != "verdict"}
+    assert both["MOD_R_1"]["verdict"] == "fail"
+
+
+def test_shared_pairing_reports_each_name_when_uncertifiable(monkeypatch):
+    _count_duals(monkeypatch, fail=True)
+    cfg = _dual_config()
+    cfg["checks"] = ["MOD_R_1", "SIGMA_R"]
+    report = run(cfg)
+    for name in ("MOD_R_1", "SIGMA_R"):
+        assert report["checks"][name]["detail"] == (
+            "identity %s not certifiable at any flow depth up to 6 in this window" % name)
+
+
+def _y2x6_config(tmp_path, **extra):
+    cfg = {"curve": {"p": 2, "f": ["-1", "0", "0", "0", "0", "0", "1"]},
+           "window": [-10, 14], "checks": ["chi"]}
+    cfg.update(extra)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("tag", ["CONN_5", "CONN_0", "CONN_x", "CONN_+1", "CONN_"])
+def test_conn_outside_the_components_is_a_config_error(tmp_path, capsys, tag):
+    # p = 2: CONN_5 used to report value "0" and pass
+    path = _y2x6_config(tmp_path, checks=[tag])
+    _one_line_config_error(capsys, main(["--config", path, "check"]))
+
+
+def test_identity_subcommand_checks_the_conn_range(tmp_path, capsys):
+    path = _y2x6_config(tmp_path)
+    _one_line_config_error(capsys, main(["--config", path, "identity", "CONN_7"]))
+    assert main(["--config", path, "--out", str(tmp_path / "r.json"),
+                 "identity", "CONN_2"]) == 0
+
+
+@pytest.mark.parametrize("generators", [
+    [[[0, 0, "abc"]]],                                # ValueError
+    [{"num": [[0, 0, "1"]], "den": [[0, 0, "0"]]}],   # ZeroDivisionError
+    [[0, 0]],                                         # TypeError
+])
+def test_bad_module_generators_are_a_config_error(tmp_path, capsys, generators):
+    path = _y2x6_config(tmp_path, point={"type": "module", "generators": generators})
+    _one_line_config_error(capsys, main(["--config", path, "check"]))
+
+
+@pytest.mark.parametrize("point", [
+    {"type": "u_n", "n": [1]},                 # TypeError
+    {"type": "v_minus", "shift": None},        # TypeError
+    {"type": "frame", "rows": [{"0": "1/0"}]},  # ZeroDivisionError
+])
+def test_bad_synthetic_values_are_a_config_error(tmp_path, capsys, point):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"p": 2, "case": "R"}, "point": point,
+                                    "checks": ["chi"]}))
+    _one_line_config_error(capsys, main(["--config", str(cfg_path), "check"]))
+
+
+def test_timing_reports_the_build():
+    report = run(y2x5_config(checks=["chi"]))
+    assert set(report["timing"]) == {"build", "chi", "total"}
+    assert 0 <= report["timing"]["build"] <= report["timing"]["total"]
