@@ -1,14 +1,18 @@
 """Exact arithmetic in Q and in the cyclotomic field Q(xi_p), p prime.
 
-All scalar computation in the package happens here.  Rationals are
-`fractions.Fraction`; `Cyclo` holds an element of Q(xi_p) reduced against
-the p-th cyclotomic polynomial, on the basis 1, xi, ..., xi^(p-2).  For
-p = 2 the field degenerates to Q with xi = -1.
+All scalar computation in the package happens here.  Rationals (`Rat`)
+are `fractions.Fraction`.  `Cyclo` holds an element of Q(xi_p) reduced
+against the p-th cyclotomic polynomial, on the basis 1, xi, ...,
+xi^(p-2), as p - 1 integer numerators over one positive denominator in
+lowest terms: its arithmetic is integer arithmetic with one gcd per
+result, and its `coeffs` view gives the same element as `Fraction`s.
+For p = 2 the field degenerates to Q with xi = -1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -24,22 +28,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _as_rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected an integer or Fraction, got %r" % (x,))
-
-
 _ZEROS = {}  # p -> the shared zero of Q(xi_p)
+_ONES = {}   # p -> the shared one of Q(xi_p)
+
+
+def _mul_mod(p: int, a, b) -> list:
+    """Integer product of two p - 1 coefficient vectors modulo Phi_p."""
+    raw = [0] * p
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    raw[(i + j) % p] += x * y
+    # xi^(p-1) = -(1 + xi + ... + xi^(p-2))
+    top = raw.pop()
+    return [c - top for c in raw] if top else raw
 
 
 class Cyclo:
     """Element of Q(xi_p) on the power basis {1, xi, ..., xi^(p-2)}.
 
-    The representation is canonical: two elements are equal iff their
-    coefficient tuples are equal.
+    Stored as integer numerators `_n` over one positive denominator `_d`
+    with gcd(_d, *_n) == 1 (zero is 0/1), so two elements are equal iff
+    their (numerators, denominator) pairs are equal.  `coeffs` is the
+    same element as a tuple of `Fraction`s.
 
     >>> xi = Cyclo.xi_power(3, 1)
     >>> xi * xi * xi == Cyclo.one(3)
@@ -48,25 +60,39 @@ class Cyclo:
     Cyclo(3, (Fraction(1, 1), Fraction(0, 1)))
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "_n", "_d")
 
     def __init__(self, p: int, coeffs):
         if not is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
-        coeffs = tuple(_as_rat(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("expected an integer or Fraction, got %r" % (c,))
         if len(coeffs) != p - 1:
             raise ValueError("need %d coefficients for p=%d" % (p - 1, p))
+        # over the lcm of the reduced denominators the numerators have gcd 1
+        d = lcm(*(c.denominator for c in coeffs))
         self.p = p
-        self.coeffs = coeffs
+        self._n = tuple(c.numerator * (d // c.denominator) for c in coeffs)
+        self._d = d
 
     @staticmethod
-    def _make(p: int, coeffs: tuple) -> "Cyclo":
+    def _new(p: int, nums, den: int) -> "Cyclo":
         """Trusted constructor for results of arithmetic on valid operands:
-        p is already a checked prime and `coeffs` a tuple of p - 1 Fractions."""
+        p is a checked prime, `nums` p - 1 integers, `den` > 0; one gcd
+        brings them to the canonical form."""
         out = object.__new__(Cyclo)
         out.p = p
-        out.coeffs = coeffs
+        g = gcd(den, *nums)
+        out._n = tuple(nums) if g == 1 else tuple(a // g for a in nums)
+        out._d = den // g
         return out
+
+    @property
+    def coeffs(self) -> tuple:
+        d = self._d
+        return tuple(Fraction(a, d) for a in self._n)
 
     # -- constructors -------------------------------------------------
 
@@ -75,28 +101,30 @@ class Cyclo:
         """The zero of Q(xi_p): one shared instance per p (never mutated)."""
         z = _ZEROS.get(p)
         if z is None:
-            z = _ZEROS[p] = Cyclo(p, (Fraction(0),) * (p - 1))
+            z = _ZEROS[p] = Cyclo(p, (0,) * (p - 1))
         return z
 
     @staticmethod
     def one(p: int) -> "Cyclo":
-        return Cyclo.rational(p, Fraction(1))
+        """The one of Q(xi_p): one shared instance per p (never mutated)."""
+        u = _ONES.get(p)
+        if u is None:
+            u = _ONES[p] = Cyclo.rational(p, 1)
+        return u
 
     @staticmethod
     def rational(p: int, value) -> "Cyclo":
-        c = [Fraction(0)] * (p - 1)
-        c[0] = _as_rat(value)
-        return Cyclo(p, c)
+        return Cyclo(p, (value,) + (0,) * (p - 2))
 
     @staticmethod
     def xi_power(p: int, k: int) -> "Cyclo":
         """xi^k reduced modulo Phi_p; xi^(p-1) = -(1 + xi + ... + xi^(p-2))."""
         k %= p
         if k < p - 1:
-            c = [Fraction(0)] * (p - 1)
-            c[k] = Fraction(1)
+            c = [0] * (p - 1)
+            c[k] = 1
             return Cyclo(p, c)
-        return Cyclo(p, (Fraction(-1),) * (p - 1))
+        return Cyclo(p, (-1,) * (p - 1))
 
     # -- ring structure ------------------------------------------------
 
@@ -106,25 +134,36 @@ class Cyclo:
                 raise ValueError("mixed cyclotomic fields: p=%d vs p=%d" % (self.p, other.p))
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclo.rational(self.p, other)
+            return Cyclo._new(self.p, (other.numerator,) + (0,) * (self.p - 2),
+                              other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclo._make(self.p, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        d, od = self._d, o._d
+        if d == od:
+            return Cyclo._new(self.p, [a + b for a, b in zip(self._n, o._n)], d)
+        return Cyclo._new(self.p, [a * od + b * d for a, b in zip(self._n, o._n)], d * od)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo._make(self.p, tuple(-a for a in self.coeffs))
+        out = object.__new__(Cyclo)
+        out.p = self.p
+        out._n = tuple(-a for a in self._n)
+        out._d = self._d
+        return out
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclo._make(self.p, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        d, od = self._d, o._d
+        if d == od:
+            return Cyclo._new(self.p, [a - b for a, b in zip(self._n, o._n)], d)
+        return Cyclo._new(self.p, [a * od - b * d for a, b in zip(self._n, o._n)], d * od)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -138,39 +177,29 @@ class Cyclo:
             return NotImplemented
         p = self.p
         if p == 2:
-            return Cyclo._make(2, (self.coeffs[0] * o.coeffs[0],))
-        # polynomial product, exponents reduced with xi^p = 1 first
-        raw = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b == 0:
-                    continue
-                raw[(i + j) % p] += a * b
-        # xi^(p-1) = -(1 + xi + ... + xi^(p-2))
-        top = raw[p - 1]
-        if top:
-            out = tuple(raw[k] - top for k in range(p - 1))
-        else:
-            out = tuple(raw[: p - 1])
-        return Cyclo._make(p, out)
+            return Cyclo._new(2, (self._n[0] * o._n[0],), self._d * o._d)
+        return Cyclo._new(p, _mul_mod(p, self._n, o._n), self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse, by extended gcd against Phi_p over Q[x]."""
+        """Multiplicative inverse: the product of the conjugates
+        sigma_k(a), k = 2..p-1 (sigma_k: xi -> xi^k), over the norm
+        N(a) = a * prod sigma_k(a), a rational integer for integer a."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in Q(xi_%d)" % self.p)
-        p = self.p
+        p, n, d = self.p, self._n, self._d
         if p == 2:
-            return Cyclo._make(2, (Fraction(1) / self.coeffs[0],))
-        phi = [Fraction(1)] * p            # Phi_p = 1 + x + ... + x^(p-1)
-        a = list(self.coeffs)
-        g, inv = _poly_xgcd_mod(a, phi)
-        scale = Fraction(1) / g
-        out = [c * scale for c in inv] + [Fraction(0)] * (p - 1 - len(inv))
-        return Cyclo._make(p, tuple(out[: p - 1]))
+            return Cyclo._new(2, (d if n[0] > 0 else -d,), abs(n[0]))
+        conj = [1] + [0] * (p - 2)
+        for k in range(2, p):
+            raw = [0] * p
+            for i, a in enumerate(n):
+                raw[i * k % p] += a
+            top = raw.pop()
+            conj = _mul_mod(p, conj, [c - top for c in raw])
+        # N(a) > 0: Q(xi_p) has no real embedding for p >= 3
+        return Cyclo._new(p, [d * c for c in conj], _mul_mod(p, n, conj)[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -199,22 +228,22 @@ class Cyclo:
     # -- predicates and views -------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._n)
 
     def is_rational(self):
         """Return (True, value) when the element lies in Q, else (False, None)."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self._n[1:]):
             return False, None
-        return True, self.coeffs[0]
+        return True, Fraction(self._n[0], self._d)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._d == o._d and self._n == o._n
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash((self.p, self._n, self._d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -258,49 +287,6 @@ class Cyclo:
                 c, k = part, 0
             coeffs[k] += Fraction(c.strip())
         return Cyclo(p, coeffs)
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = Fraction(1) / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coef = a[k + len(b) - 1] * inv_lead
-        if coef == 0:
-            continue
-        q[k] = coef
-        for j, bj in enumerate(b):
-            a[k + j] -= coef * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_xgcd_mod(a, m):
-    """Return (g, u) with u*a = g modulo m, g a nonzero constant for coprime a, m."""
-    r0, r1 = _poly_trim(list(m)), _poly_trim(list(a))
-    s0, s1 = [], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        # s2 = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            for j, sj in enumerate(s1):
-                prod[i + j] += qi * sj
-        s2 = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            s2[i] += c
-        for i, c in enumerate(prod):
-            s2[i] -= c
-        s0, s1 = s1, _poly_trim(s2)
-    if not r1:
-        raise ZeroDivisionError("element not invertible")
-    return r1[0], s1
 
 
 def root_product(p: int) -> Cyclo:
