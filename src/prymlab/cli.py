@@ -204,9 +204,8 @@ def run_check(name: str, point: GrassPoint, cfg: dict, dual=None, shared=None) -
                 out["verdict"] = "pass" if out["value"] == expect else "fail"
         elif name == "tangent":
             m_depth = cfg["tangent_depth"]
-            val, stable = point.tangent_orbit_dim(m_depth, with_flag=True)
+            val = point.tangent_orbit_dim(m_depth)
             out["value"] = val
-            out["stable"] = stable
             out["depth"] = m_depth
             out["verdict"] = "pass" if expect in (None, val) else "fail"
         else:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import WindowError
 from .jets import JetPoly, JetRing
 from .scalars import Cyclo
-from .vseries import BaseSeries, Model, VSeries, _isinf, flow_exponential
+from .vseries import BaseSeries, Model, VSeries, _isinf, flow_exponential, vseries_exp
 
 
 class FlowCoords:
@@ -78,18 +78,14 @@ class FlowCoords:
     def element(self) -> VSeries:
         """Exponential flow element of Gamma_V (cover) or Gamma (base).
 
-        Base coordinates exponentiate in the z-variable and are returned
-        through the inclusion of the base algebra into V.
+        Base coordinates are included into V and exponentiated there; the
+        inclusion of the base algebra is a ring map, so this is the image
+        of the z-exponential.
         """
         if self.kind == "cover":
             return flow_exponential(self.model, self.ring, self.coords)
-        out = BaseSeries.one(self.ring)
-        power = out
         arg = BaseSeries(self.ring, {-j: c for j, c in self.coords.items()})
-        for k in range(1, self.ring.cap + 1):
-            power = power * arg * Fraction(1, k)
-            out = out + power
-        return base_to_v(self.model, self.ring, out)
+        return vseries_exp(base_to_v(self.model, self.ring, arg))
 
     def to_text(self) -> str:
         parts = []

@@ -483,61 +483,21 @@ class GrassPoint:
 
     # ------------------------------------------------------------------ tangent
 
-    def tangent_orbit_dim(self, depth: int, *, with_flag: bool = False):
+    def tangent_orbit_dim(self, depth: int) -> int:
         """dim T_1 Pi / (ker d mu_U + T_1 Pibar+), principal parts to `depth`.
 
         Builds the exact linear system for g supported on exponents
         [-depth, E): tr(g) constant, sigma^k(g) . row in U for all k; the
         dimension is (principal-part space with the trace constraint) minus
-        (principal parts of the nullspace).  With `with_flag`, also reports
-        agreement with the depth-1 value.
+        (principal parts of the nullspace).
         """
-        # constraint products are reduced once and shared by both depths;
-        # `keep` is the top of the deeper system, which also covers
-        # depth - 1 since the unknowns' top exponent grows with depth
-        products = {}
-        keep = self.model.pos(1, self._tangent_e_hi(depth))
-        val = self._tangent_once(depth, products, keep)
-        if not with_flag:
-            return val
-        prev = self._tangent_once(depth - 1, products, keep) if depth > 1 else None
-        return val, (prev == val)
-
-    def _tangent_e_hi(self, depth: int) -> int:
-        """Top exponent (exclusive) of the tangent unknowns at `depth`."""
-        if _isinf(self.phi):
-            return depth + 2
-        return max(depth + 2, self.model.exp_window(0, self.phi)[1] - 1)
-
-    def _tangent_product(self, products: dict, keep: int, comp: int, e: int,
-                         pivot: int, row):
-        """Reduction of z^e e_comp . row (ramified: z1^e . row), memoized.
-
-        Returns (lowest position certified by the frame, residual window
-        top, [(position, constant term)]), the list cut to the positions
-        [lowest, keep + row start) that a system topped at `keep` can use.
-        Reduction is K-linear and sigma^k only twists (ramified) or
-        relabels (non-ramified) the monomial, so every sigma^k system
-        reuses these entries.
-        """
-        key = (comp, e, pivot)
-        hit = products.get(key)
-        if hit is None:
-            prod = VSeries.monomial(self.model, self.ring, comp, e) * row
-            residual, _, blocked = self.reduce(prod)
-            lo = max(blocked) + 1 if blocked else _DEEP
-            top = keep + row.pos_window()[0]
-            hit = products[key] = (
-                lo, residual.pos_window()[1],
-                [(q, c.constant_term()) for q, c in residual.pos_items() if lo <= q < top])
-        return hit
-
-    def _tangent_once(self, depth: int, products: dict, keep: int) -> int:
         m = self.model
         if self.ring.cap != 0:
             raise ValueError("tangent computation expects a scalar frame")
         p = m.p
-        e_hi = self._tangent_e_hi(depth)
+        e_hi = depth + 2
+        if not _isinf(self.phi):
+            e_hi = max(e_hi, m.exp_window(0, self.phi)[1] - 1)
         unknowns = [(i, e) for i in range(1, m.ncomp + 1) for e in range(-depth, e_hi)]
         col = {u: k for k, u in enumerate(unknowns)}
         equations = []
@@ -551,6 +511,12 @@ class GrassPoint:
                     equations.append({col[(i, e)]: Cyclo.one(p) for i in range(1, p + 1)})
         rows = self._tangent_rows(depth)
         top_pos = m.pos(1, e_hi)
+        # Reduction is K-linear and sigma^k only twists (ramified) or
+        # relabels (non-ramified) the monomial, so every sigma^k reads one
+        # reduction of z^e e_comp . row per (comp, e, row pivot): (lowest
+        # position certified by the frame, residual window top, the
+        # [(position, constant term)] below top_pos + row start).
+        products = {}
         for k in range(p):
             slots = [[_DEEP, None, {}] for _ in rows]
             for (i, e), cidx in col.items():
@@ -559,8 +525,17 @@ class GrassPoint:
                 else:
                     comp, twist = (i - 1 + k) % p + 1, None
                 for slot, (pivot, r) in zip(slots, rows):
-                    lo, hi, entries = self._tangent_product(products, keep, comp, e,
-                                                            pivot, r)
+                    hit = products.get((comp, e, pivot))
+                    if hit is None:
+                        prod = VSeries.monomial(m, self.ring, comp, e) * r
+                        residual, _, blocked = self.reduce(prod)
+                        lo = max(blocked) + 1 if blocked else _DEEP
+                        top = top_pos + r.pos_window()[0]
+                        hit = products[(comp, e, pivot)] = (
+                            lo, residual.pos_window()[1],
+                            [(q, c.constant_term()) for q, c in residual.pos_items()
+                             if lo <= q < top])
+                    lo, hi, entries = hit
                     if lo > slot[0]:
                         slot[0] = lo
                     if slot[1] is None or hi < slot[1]:

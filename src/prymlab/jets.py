@@ -139,7 +139,11 @@ class JetPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.ring), tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        # the fields `ring.compatible` compares, so equal polynomials over
+        # separately built rings hash alike
+        ring = self.ring
+        return hash((ring.p, ring.names, ring.cap,
+                     tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def __bool__(self):
         return bool(self.terms)

@@ -264,8 +264,12 @@ class BaseSeries:
 def pth_root_series(f: BaseSeries, p: int) -> BaseSeries:
     """Principal p-th root of f = 1 + (positive-exponent tail).
 
-    Solves g^p = f coefficient by coefficient; the root is certified on
-    f's own window.
+    J.C.P. Miller's power-series recurrence (Knuth, TAOCP vol. 2, 4.7)
+    for g = f^(1/p): g_0 = 1 and
+        g_n = (1/n) sum_{k=1..n} ((1 + 1/p) k - n) f_k g_{n-k}.
+    g_n reads f through z^n only, so the root is certified on f's own
+    window.  An exact f is expanded through its top exponent, which
+    bounds the root's window.
     """
     ring = f.ring
     if f.valuation() != 0 or f.terms.get(0) != ring.one():
@@ -274,24 +278,20 @@ def pth_root_series(f: BaseSeries, p: int) -> BaseSeries:
         raise ValueError("p-th root needs a positive-exponent tail")
     hi = f.hi
     if _isinf(hi):
-        hi = (max(f.terms) if len(f.terms) > 1 else 0) + 1
+        hi = max(f.terms) + 1
+    tail = sorted((k, c) for k, c in f.terms.items() if k > 0)
     g = {0: ring.one()}
-    gp = {0: ring.one()}  # g^p, maintained incrementally
-    inv_p = Fraction(1, p)
-    for e in range(1, hi):
-        delta = (f.terms.get(e, ring.zero()) - gp.get(e, ring.zero())) * inv_p
-        if delta.is_zero():
-            continue
-        g[e] = delta
-        # update g^p: adding delta*z^e changes g^p by p*delta*z^e*g^(p-1) + ...
-        # recompute the affected range directly (windows are small).
-        gs = BaseSeries(ring, g, 0, hi)
-        acc = BaseSeries.one(ring)
-        for _ in range(p):
-            acc = acc * gs
-        gp = acc.terms
-    out_hi = f.hi
-    return BaseSeries(ring, g, 0, out_hi)
+    for n in range(1, hi):
+        acc = ring.zero()
+        for k, fk in tail:
+            if k > n:
+                break
+            gk = g.get(n - k)
+            if gk is not None:
+                acc = acc + fk * gk * Fraction((p + 1) * k - p * n, p * n)
+        if not acc.is_zero():
+            g[n] = acc
+    return BaseSeries(ring, g, 0, hi)
 
 
 class VSeries:

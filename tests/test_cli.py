@@ -44,7 +44,6 @@ def test_run_y2x5():
     assert report["checks"]["chi"]["value"] == -1
     assert report["checks"]["gaps"]["value"] == [1, 3]
     assert report["checks"]["tangent"]["value"] == 2
-    assert report["checks"]["tangent"]["stable"]
     assert exit_code(report) == 0
 
 
@@ -114,6 +113,7 @@ def test_sweep_stabilizes():
     summ = result["stabilization"]
     assert summ["chi"]["first_stable_step"] == 0
     assert not summ["chi"]["verdict_flip"]
+    assert summ["tangent"]["first_stable_step"] == 0
     assert summ["tangent"]["final"] == 2
 
 

@@ -109,6 +109,35 @@ def test_pullback_intertwines(case, p):
     assert lifted.element().comps == b.element().comps
 
 
+def _reference_base_element(c):
+    """exp of base coordinates summed in the z-variable, then included in V."""
+    from prymlab.flows import base_to_v
+    from prymlab.vseries import BaseSeries
+    out = BaseSeries.one(c.ring)
+    power = out
+    arg = BaseSeries(c.ring, {-j: v for j, v in c.coords.items()})
+    for k in range(1, c.ring.cap + 1):
+        power = power * arg * Fraction(1, k)
+        out = out + power
+    return base_to_v(c.model, c.ring, out)
+
+
+@pytest.mark.parametrize("case,p", [("R", 2), ("R", 3), ("R", 5), ("NR", 2), ("NR", 3)])
+def test_base_element_matches_the_base_exponential(case, p):
+    rng = random.Random(90 + p)
+    m = Model(p, case)
+    for cap in (1, 2, 3):
+        R = JetRing(p, ("b1", "b2"), cap=cap)
+        coords = {}
+        for j in range(1, 4):
+            if rng.random() < 0.8:
+                coords[j] = R.var(rng.choice(R.names), rand_scalar(rng, p))
+        b = FlowCoords(m, R, "base", coords)
+        got, want = b.element(), _reference_base_element(b)
+        assert got.comps == want.comps
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
 # ------------------------------------------------------------- Prym structure
 
 

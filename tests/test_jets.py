@@ -13,6 +13,16 @@ def test_truncating_product():
     assert (R.one() + t1) * (R.one() - t1) == R.one() - t1 * t1
 
 
+def test_hash_agrees_with_equality_across_rings():
+    # equality compares rings by (p, names, cap), not identity
+    a, b = JetRing.scalar(2).const(3), JetRing.scalar(2).const(3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    R1, R2 = JetRing(3, ("t1",), cap=2), JetRing(3, ("t1",), cap=2)
+    assert len({R1.var("t1") + 1, R2.var("t1") + 1}) == 1
+    assert len({R1.var("t1"), JetRing(3, ("t1",), cap=1).var("t1")}) == 2
+
+
 def test_nilpotent_inverse_dual_numbers():
     R = JetRing(2, ("t1",), cap=1)
     t1 = R.var("t1")

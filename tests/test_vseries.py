@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rand_scalar
+
 from prymlab.errors import WindowError
 from prymlab.jets import JetRing
 from prymlab.scalars import Cyclo
@@ -11,6 +13,7 @@ from prymlab.vseries import (
     BaseSeries,
     Model,
     VSeries,
+    _isinf,
     flow_exponential,
     pth_root_series,
     residue_pairing,
@@ -354,6 +357,68 @@ def test_root_of_one_and_perfect_square():
     R2 = scalar_ring(2)
     f = BaseSeries(R2, {0: R2.one(), 1: R2.const(2), 2: R2.one()}, 0, 6)
     assert pth_root_series(f, 2).terms == {0: R2.one(), 1: R2.one()}
+
+
+def _reference_pth_root_series(f, p):
+    """The p-th root as solved before the Miller recurrence: each new
+    coefficient recomputes g^p from scratch with p - 1 series products."""
+    ring = f.ring
+    hi = f.hi
+    if _isinf(hi):
+        hi = (max(f.terms) if len(f.terms) > 1 else 0) + 1
+    g = {0: ring.one()}
+    gp = {0: ring.one()}
+    inv_p = Fraction(1, p)
+    for e in range(1, hi):
+        delta = (f.terms.get(e, ring.zero()) - gp.get(e, ring.zero())) * inv_p
+        if delta.is_zero():
+            continue
+        g[e] = delta
+        gs = BaseSeries(ring, g, 0, hi)
+        acc = BaseSeries.one(ring)
+        for _ in range(p):
+            acc = acc * gs
+        gp = acc.terms
+    return BaseSeries(ring, g, 0, f.hi)
+
+
+def test_pth_root_matches_reference_random():
+    rng = random.Random(43)
+    for trial in range(24):
+        p = (2, 3, 5)[trial % 3]
+        R = scalar_ring(p) if trial % 2 else JetRing(p, ("t1", "t2"), cap=2)
+        terms = {0: R.one()}
+        for e in range(1, 7):
+            if rng.random() < 0.6:
+                c = R.const(rand_scalar(rng, p))
+                if R.cap and rng.random() < 0.5:
+                    c = c + R.var(rng.choice(R.names), rng.randint(-3, 3))
+                terms[e] = c
+        hi = INF if trial % 4 == 0 else rng.randint(3, 9)
+        f = BaseSeries(R, terms, 0, hi)
+        got, want = pth_root_series(f, p), _reference_pth_root_series(f, p)
+        assert got.terms == want.terms
+        if _isinf(hi):
+            assert got.hi == max(f.terms) + 1
+        else:
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+        acc = BaseSeries.one(R)
+        for _ in range(p):
+            acc = acc * got
+        for e in range(got.hi):
+            assert acc.terms.get(e, R.zero()) == f.terms.get(e, R.zero())
+
+
+def test_pth_root_of_an_exact_series_has_a_finite_window():
+    R = scalar_ring(2)
+    f = BaseSeries(R, {0: R.one(), 1: R.one()})        # 1 + z, exact
+    g = pth_root_series(f, 2)
+    assert g.terms == {0: R.one(), 1: R.const(Fraction(1, 2))}
+    assert (g.lo, g.hi) == (0, 2)
+    # (1 + z/2)^2 = 1 + z + z^2/4: only the certified part agrees with f
+    sq = g * g
+    assert sq.hi == 2
+    assert sq.terms == f.terms
 
 
 def test_flow_exponential_examples():
