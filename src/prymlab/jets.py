@@ -15,10 +15,54 @@ from math import factorial
 from .scalars import Cyclo
 
 
-class JetRing:
-    """Ring K[t_1, ..., t_n] / (total degree > cap), K = Q(xi_p)."""
+def _add_into(t: dict, d: dict) -> dict:
+    """Add the key -> coefficient map d into t, in place; zero sums drop."""
+    for e, c in d.items():
+        s = t.get(e)
+        s = c if s is None else s + c
+        if s.is_zero():
+            t.pop(e, None)
+        else:
+            t[e] = s
+    return t
 
-    __slots__ = ("names", "cap", "p", "index", "blocks")
+
+def _mul_terms(d1: dict, d2: dict, hi) -> dict:
+    """Product of two key -> coefficient maps, keys below hi: series exponents
+    below a window top, or jet monomial keys below `JetRing._bound`."""
+    t = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            e = e1 + e2
+            if e >= hi:
+                continue
+            c = c1 * c2
+            s = t.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                t.pop(e, None)
+            else:
+                t[e] = s
+    return t
+
+
+class JetRing:
+    """Ring K[t_1, ..., t_n] / (total degree > cap), K = Q(xi_p).
+
+    The monomial t^e of degree d has the key d*B^n + sum_v e_v*B^v, with
+    B = cap + 1 (the constant is 0).  Within the cap every digit is at
+    most cap < B, so keys add without carries; past it the degree digit
+    alone puts the sum at or above the bound B^(n+1).
+
+    >>> R = JetRing(2, ("t1", "t2"), cap=2)
+    >>> t1, t2 = R.var("t1"), R.var("t2")
+    >>> list(t1.terms), list(t2.terms), list((t1 * t2).terms)
+    ([10], [12], [22])
+    >>> 10 + 10 + 12 >= 3 ** 3, (t1 * t1 * t2).is_zero()
+    (True, True)
+    """
+
+    __slots__ = ("names", "cap", "p", "index", "blocks", "_top", "_bound")
 
     def __init__(self, p: int, names=(), cap: int = 0, blocks=None):
         names = tuple(names)
@@ -31,6 +75,23 @@ class JetRing:
         self.cap = cap
         self.index = {n: i for i, n in enumerate(names)}
         self.blocks = dict(blocks or {})
+        self._top = (cap + 1) ** len(names)
+        self._bound = (cap + 1) * self._top
+
+    def _key(self, pairs) -> int:
+        """Key of the monomial with (variable index, exponent) pairs."""
+        return sum(e * (self._top + (self.cap + 1) ** v) for v, e in pairs)
+
+    def _pairs(self, key: int) -> tuple:
+        """(degree, sorted (variable index, exponent) pairs) of a key."""
+        deg, rest = divmod(key, self._top)
+        pairs, v = [], 0
+        while rest:
+            rest, e = divmod(rest, self.cap + 1)
+            if e:
+                pairs.append((v, e))
+            v += 1
+        return deg, tuple(pairs)
 
     @staticmethod
     def scalar(p: int) -> "JetRing":
@@ -69,7 +130,7 @@ class JetRing:
             value = Cyclo.rational(self.p, value)
         if value.is_zero():
             return JetPoly(self, {})
-        return JetPoly(self, {(): value})
+        return JetPoly(self, {0: value})
 
     def var(self, name: str, coeff=1) -> "JetPoly":
         if self.cap < 1:
@@ -78,31 +139,13 @@ class JetRing:
         c = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(self.p, coeff)
         if c.is_zero():
             return self.zero()
-        return JetPoly(self, {((i, 1),): c})
+        return JetPoly(self, {self._key(((i, 1),)): c})
 
     def block_vars(self, label: str):
         return [self.names[i] for i in self.blocks[label]]
 
     def __repr__(self):
         return "JetRing(p=%d, %d vars, cap=%d)" % (self.p, len(self.names), self.cap)
-
-
-def _mono_mul(m1, m2, cap):
-    """Merge two sorted sparse exponent vectors; None when above cap."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = dict(m1)
-    for v, e in m2:
-        out[v] = out.get(v, 0) + e
-    if sum(out.values()) > cap:
-        return None
-    return tuple(sorted(out.items()))
-
-
-def _mono_deg(m):
-    return sum(e for _, e in m)
 
 
 class JetPoly:
@@ -120,16 +163,17 @@ class JetPoly:
         return not self.terms
 
     def constant_term(self) -> Cyclo:
-        return self.terms.get((), Cyclo.zero(self.ring.p))
+        return self.terms.get(0, Cyclo.zero(self.ring.p))
 
     def is_unit(self) -> bool:
-        return () in self.terms
+        return 0 in self.terms
 
     def is_nilpotent(self) -> bool:
-        return () not in self.terms
+        return 0 not in self.terms
 
     def coeff(self, mono) -> Cyclo:
-        return self.terms.get(tuple(mono), Cyclo.zero(self.ring.p))
+        """Coefficient of the monomial given as (variable index, exponent) pairs."""
+        return self.terms.get(self.ring._key(mono), Cyclo.zero(self.ring.p))
 
     def __eq__(self, other):
         if isinstance(other, JetPoly):
@@ -139,11 +183,13 @@ class JetPoly:
         return NotImplemented
 
     def __hash__(self):
-        # the fields `ring.compatible` compares, so equal polynomials over
-        # separately built rings hash alike
+        # a constant equals its value, so it hashes as that value; others
+        # hash the fields `ring.compatible` compares, so equal polynomials
+        # over separately built rings hash alike
+        if self.terms.keys() <= {0}:
+            return hash(self.constant_term())
         ring = self.ring
-        return hash((ring.p, ring.names, ring.cap,
-                     tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((ring.p, ring.names, ring.cap, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
         return bool(self.terms)
@@ -163,15 +209,7 @@ class JetPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = dict(self.terms)
-        for m, c in o.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(m, None)
-            else:
-                t[m] = s
-        return JetPoly(self.ring, t)
+        return JetPoly(self.ring, _add_into(dict(self.terms), o.terms))
 
     __radd__ = __add__
 
@@ -194,21 +232,7 @@ class JetPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        cap = self.ring.cap
-        t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = _mono_mul(m1, m2, cap)
-                if m is None:
-                    continue
-                c = c1 * c2
-                s = t.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    t.pop(m, None)
-                else:
-                    t[m] = s
-        return JetPoly(self.ring, t)
+        return JetPoly(self.ring, _mul_terms(self.terms, o.terms, self.ring._bound))
 
     __rmul__ = __mul__
 
@@ -218,7 +242,7 @@ class JetPoly:
         if c0.is_zero():
             raise ZeroDivisionError("non-unit jet element has no inverse")
         c0_inv = c0.inverse()
-        n = JetPoly(self.ring, {m: c * c0_inv for m, c in self.terms.items() if m != ()})
+        n = JetPoly(self.ring, {m: c * c0_inv for m, c in self.terms.items() if m})
         out = self.ring.one()
         power = self.ring.one()
         sign = -1
@@ -259,22 +283,16 @@ class JetPoly:
         """
         t = {}
         for m, c in self.terms.items():
-            scale = c
-            out_m = {}
-            for v, e in m:
+            deg, pairs = self.ring._pairs(m)
+            if deg > ring.cap:
+                continue
+            scale, out = c, []
+            for v, e in pairs:
                 sc, v2 = mapping.get(v, (None, v))
                 if sc is not None:
                     scale = scale * (sc ** e)
-                out_m[v2] = out_m.get(v2, 0) + e
-            if sum(out_m.values()) > ring.cap or scale.is_zero():
-                continue
-            key = tuple(sorted(out_m.items()))
-            s = t.get(key)
-            s = scale if s is None else s + scale
-            if s.is_zero():
-                t.pop(key, None)
-            else:
-                t[key] = s
+                out.append((v2, e))
+            _add_into(t, {ring._key(out): scale})
         return JetPoly(ring, t)
 
     def lift(self, ring: JetRing) -> "JetPoly":
@@ -289,8 +307,9 @@ class JetPoly:
         return self.map_vars(ring, mapping)
 
     def truncate(self, cap: int, ring: JetRing | None = None) -> "JetPoly":
+        """The terms of degree at most `cap`, in `ring` (of that cap) or a new ring."""
         ring = ring or JetRing(self.ring.p, self.ring.names, cap, self.ring.blocks)
-        return JetPoly(ring, {m: c for m, c in self.terms.items() if _mono_deg(m) <= cap})
+        return self.map_vars(ring, {})
 
     # -- rendering -----------------------------------------------------------
 
@@ -299,11 +318,10 @@ class JetPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda mm: (_mono_deg(mm), mm)):
-            c = self.terms[m]
+        for (_, pairs), c in sorted((self.ring._pairs(m), c) for m, c in self.terms.items()):
             mono = "*".join(
                 "%s^%d" % (self.ring.names[v], e) if e > 1 else self.ring.names[v]
-                for v, e in m
+                for v, e in pairs
             )
             ctext = c.to_text()
             if "+" in ctext or " " in ctext:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import WindowError
 from .grass import GrassPoint, build_frame, module_closure
 from .jets import JetRing
 from .scalars import Cyclo, is_prime
@@ -278,13 +279,18 @@ def module_point(curve: CurveSpec, gens, depth: int, height: int | None = None,
 
 
 def curve_invariants(curve: CurveSpec, depth: int | None = None) -> dict:
-    """Genus, gap orders, case data and the Prym degree bookkeeping."""
+    """Genus (1 - chi, checked against Riemann-Hurwitz: `WindowError` if the
+    depth misses gaps), gap orders, case data and the Prym degree bookkeeping."""
     p, d = curve.p, curve.d
     if depth is None:
         depth = (p - 1) * (d - 1) + p + 2
     point = algebra_point(curve, depth)
     chi = point.index_chi()
     genus = 1 - chi
+    rh_genus = (p - 1) * (d - 1 if d % p else d - 2) // 2
+    if genus != rh_genus:
+        raise WindowError("genus 1 - chi = %d at depth %d, Riemann-Hurwitz gives %d"
+                          % (genus, depth, rh_genus), suggest=max(2 * rh_genus - depth, 1))
     gbar = 0
     prym_degree = (genus - 1) - (p - 2) * (gbar - 1)
     return {
@@ -293,6 +299,7 @@ def curve_invariants(curve: CurveSpec, depth: int | None = None) -> dict:
         "case": curve.case,
         "chi": chi,
         "genus": genus,
+        "riemann_hurwitz_genus": rh_genus,
         "gaps": point.gap_orders(),
         "quotient_genus": gbar,
         "prym_degree": prym_degree,

@@ -243,6 +243,9 @@ class Cyclo:
         return self._d == o._d and self._n == o._n
 
     def __hash__(self):
+        # a rational equals its Fraction (and int), so it hashes as one
+        if not any(self._n[1:]):
+            return hash(Fraction(self._n[0], self._d))
         return hash((self.p, self._n, self._d))
 
     def __bool__(self):

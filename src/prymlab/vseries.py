@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import WindowError
-from .jets import JetPoly, JetRing
+from .jets import JetPoly, JetRing, _add_into, _mul_terms
 from .scalars import Cyclo, is_prime
 
 RAMIFIED = "R"
@@ -39,36 +39,6 @@ def _ceildiv(a: int, b: int) -> int:
 
 def _isinf(x) -> bool:
     return x == INF
-
-
-def _add_into(t: dict, d: dict) -> dict:
-    """Add the exponent -> coefficient map d into t, in place; zero sums drop."""
-    for e, c in d.items():
-        s = t.get(e)
-        s = c if s is None else s + c
-        if s.is_zero():
-            t.pop(e, None)
-        else:
-            t[e] = s
-    return t
-
-
-def _mul_terms(d1: dict, d2: dict, hi) -> dict:
-    """Product of two exponent -> coefficient maps, exponents below hi."""
-    t = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            e = e1 + e2
-            if e >= hi:
-                continue
-            c = c1 * c2
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(e, None)
-            else:
-                t[e] = s
-    return t
 
 
 class Model:

@@ -145,6 +145,7 @@ def test_main_curve_info(capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["genus"] == 3 and out["case"] == "R"
+    assert out["riemann_hurwitz_genus"] == 3
 
 
 def test_main_identity(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -118,3 +119,235 @@ def test_to_text():
     R = JetRing(2, ("t1", "t3"), cap=3)
     s = R.var("t1") * R.var("t1") * R.var("t3") + R.var("t3") * 2
     assert s.to_text() == "2*t3 + 1*t1^2*t3"
+
+
+def test_constants_hash_as_their_values():
+    # `==` accepts plain numbers, so a constant hashes as the number it equals
+    R = JetRing(3, ("t1",), cap=2)
+    assert len({R.const(3), 3}) == 1
+    assert hash(R.const(3)) == hash(3) and hash(R.zero()) == hash(0)
+    assert hash(R.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    xi = Cyclo.xi_power(3, 1)
+    assert R.const(xi) == xi and hash(R.const(xi)) == hash(xi)
+    assert len({R.const(3), Cyclo.rational(3, 3), Fraction(3)}) == 1
+
+
+def test_doctests_run():
+    # the `JetRing` docstring pins the monomial key and its bound
+    import doctest
+
+    import prymlab.jets
+
+    failed, attempted = doctest.testmod(prymlab.jets)
+    assert attempted > 0 and failed == 0
+
+
+# ---------------------------------------------------------------- reference
+# The tuple-keyed JetPoly that the integer monomial keys replaced: a
+# monomial is the sorted tuple of (variable index, exponent) pairs, merged
+# through a dict.  The integer keys must reproduce it term for term.
+
+
+def _ref_mono_mul(m1, m2, cap):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = dict(m1)
+    for v, e in m2:
+        out[v] = out.get(v, 0) + e
+    if sum(out.values()) > cap:
+        return None
+    return tuple(sorted(out.items()))
+
+
+def _ref_mono_deg(m):
+    return sum(e for _, e in m)
+
+
+class _RefJet:
+    def __init__(self, p, names, cap, terms):
+        self.p, self.names, self.cap, self.terms = p, tuple(names), cap, terms
+
+    def _new(self, terms):
+        return _RefJet(self.p, self.names, self.cap, terms)
+
+    def one(self):
+        return self._new({(): Cyclo.one(self.p)})
+
+    def __add__(self, o):
+        t = dict(self.terms)
+        for m, c in o.terms.items():
+            s = t.get(m)
+            s = c if s is None else s + c
+            if s.is_zero():
+                t.pop(m, None)
+            else:
+                t[m] = s
+        return self._new(t)
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        if not isinstance(o, _RefJet):
+            o = self._new({(): Cyclo.rational(self.p, o)} if o else {})
+        t = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in o.terms.items():
+                m = _ref_mono_mul(m1, m2, self.cap)
+                if m is None:
+                    continue
+                c = c1 * c2
+                s = t.get(m)
+                s = c if s is None else s + c
+                if s.is_zero():
+                    t.pop(m, None)
+                else:
+                    t[m] = s
+        return self._new(t)
+
+    def inverse(self):
+        c0_inv = self.terms[()].inverse()
+        n = self._new({m: c * c0_inv for m, c in self.terms.items() if m != ()})
+        out, power, sign = self.one(), self.one(), -1
+        for _ in range(self.cap):
+            power = power * n
+            if not power.terms:
+                break
+            out = out + power * sign
+            sign = -sign
+        return out * self._new({(): c0_inv})
+
+    def exp(self):
+        out, power = self.one(), self.one()
+        for k in range(1, self.cap + 1):
+            power = power * self
+            if not power.terms:
+                break
+            out = out + power * Fraction(1, factorial(k))
+        return out
+
+    def map_vars(self, names, cap, mapping):
+        t = {}
+        for m, c in self.terms.items():
+            scale = c
+            out_m = {}
+            for v, e in m:
+                sc, v2 = mapping.get(v, (None, v))
+                if sc is not None:
+                    scale = scale * (sc ** e)
+                out_m[v2] = out_m.get(v2, 0) + e
+            if sum(out_m.values()) > cap or scale.is_zero():
+                continue
+            key = tuple(sorted(out_m.items()))
+            s = t.get(key)
+            s = scale if s is None else s + scale
+            if s.is_zero():
+                t.pop(key, None)
+            else:
+                t[key] = s
+        return _RefJet(self.p, names, cap, t)
+
+    def truncate(self, cap):
+        return _RefJet(self.p, self.names, cap,
+                       {m: c for m, c in self.terms.items() if _ref_mono_deg(m) <= cap})
+
+    def to_text(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in sorted(self.terms, key=lambda mm: (_ref_mono_deg(mm), mm)):
+            c = self.terms[m]
+            mono = "*".join(
+                "%s^%d" % (self.names[v], e) if e > 1 else self.names[v] for v, e in m
+            )
+            ctext = c.to_text()
+            if "+" in ctext or " " in ctext:
+                ctext = "(%s)" % ctext
+            parts.append(ctext if not mono else "%s*%s" % (ctext, mono))
+        return " + ".join(parts)
+
+
+def _rand_scalar(rng, p):
+    if rng.random() < 0.5:
+        return Cyclo.rational(p, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return Cyclo(p, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p - 1)])
+
+
+def _rand_pair(rng, R, nterms, nilpotent=False):
+    """The same random element as a JetPoly (built by public arithmetic)
+    and as a reference."""
+    ref = _RefJet(R.p, R.names, R.cap, {})
+    new = R.zero()
+    for _ in range(nterms):
+        c = _rand_scalar(rng, R.p)
+        deg = rng.randint(0, R.cap) if R.names else 0
+        if nilpotent and not deg:
+            continue
+        exps = {}
+        for _ in range(deg):
+            v = rng.randrange(len(R.names))
+            exps[v] = exps.get(v, 0) + 1
+        mono = tuple(sorted(exps.items()))
+        ref = ref + _RefJet(R.p, R.names, R.cap, {} if c.is_zero() else {mono: c})
+        term = R.const(c)
+        for v, e in mono:
+            for _ in range(e):
+                term = term * R.var(R.names[v])
+        new = new + term
+    return new, ref
+
+
+def _same(new, ref):
+    assert len(new.terms) == len(ref.terms)
+    assert all(new.coeff(m) == c for m, c in ref.terms.items())
+    assert new.to_text() == ref.to_text()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("nvars", [0, 2, 8, 36])
+def test_integer_keys_match_reference(p, nvars):
+    rng = random.Random("%d:%d" % (p, nvars))
+    names = ["t%d" % (i + 1) for i in range(nvars)]
+    xi = Cyclo.xi_power(p, 1)
+    for cap in (0, 1, 2, 3, 6):
+        R = JetRing(p, names, cap)
+        for _ in range(3):
+            nterms = 4 if cap < 6 else 3
+            (a, ra), (b, rb) = _rand_pair(rng, R, nterms), _rand_pair(rng, R, nterms)
+            _same(a + b, ra + rb)
+            _same(a - b, ra - rb)
+            _same(-a, -ra)
+            _same(a * b, ra * rb)
+            _same(a * 0, ra * 0)
+            assert (a == b) == (ra.terms == rb.terms)
+            assert a - b + b == a and hash(a - b + b) == hash(a)
+            twin = JetRing(p, names, cap)
+            a2 = a.lift(twin)
+            assert a2 == a and hash(a2) == hash(a) and len({a, a2}) == 1
+            c0 = ra.terms.get((), Cyclo.zero(p))
+            assert (a == c0) == (set(ra.terms) <= {()})
+            if c0:
+                _same(a.inverse(), ra.inverse())
+                assert a * a.inverse() == R.one()
+            n, rn = _rand_pair(rng, R, nterms, nilpotent=True)
+            _same(n.exp(), rn.exp())
+            for low in range(cap):
+                _same(a.truncate(low), ra.truncate(low))
+            # a substitution that scales, renames and merges variables,
+            # into a wider ring with the names in another order
+            wide = names + ["s1", "s2"]
+            rng.shuffle(wide)
+            W = JetRing(p, wide, cap)
+            mapping = {}
+            for v in range(nvars):
+                if rng.random() < 0.5:
+                    sc = xi ** rng.randrange(p) if rng.random() < 0.7 else None
+                    mapping[v] = (sc, rng.randrange(len(wide)))
+            _same(a.map_vars(W, mapping), ra.map_vars(wide, cap, mapping))
+            by_name = {v: (None, W.index[n]) for v, n in enumerate(names)}
+            _same(a.lift(W), ra.map_vars(wide, cap, by_name))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from prymlab.baker import residue_identity_eval
+from prymlab.errors import WindowError
 from prymlab.krichever import (
     CurveSpec,
     FunctionRep,
@@ -114,6 +115,23 @@ def test_curve_invariants():
     assert inv3["prym_degree"] == 2 + 1
     inv6 = curve_invariants(curve_y2_x6())
     assert inv6["genus"] == 2 and inv6["case"] == "NR"
+
+
+def test_curve_invariants_agree_with_riemann_hurwitz():
+    genus9 = CurveSpec(3, [1, 2, 0, -1, 0, 0, 0, 3, 0, 0, 1])   # 3 does not divide 10
+    for curve, g in ((curve_y2_x5(), 2), (curve_y3_x4(), 3), (curve_y2_x6(), 2),
+                     (genus9, 9)):
+        inv = curve_invariants(curve)
+        assert inv["genus"] == inv["riemann_hurwitz_genus"] == g
+        assert len(inv["gaps"]) == g
+
+
+def test_curve_invariants_shallow_window_raises():
+    # depth 2 sees one gap of y^2 = x^5 - 1: genus 1, gaps [1]
+    with pytest.raises(WindowError) as err:
+        curve_invariants(curve_y2_x5(), depth=2)
+    assert err.value.suggest == 2                      # reach pole order 2g = 4
+    assert curve_invariants(curve_y2_x5(), depth=2 + err.value.suggest)["gaps"] == [1, 3]
 
 
 def test_module_point_degree_one_bundle():

@@ -111,6 +111,15 @@ def test_arithmetic_results_are_canonical():
         assert (a - a) == Cyclo.zero(p)
 
 
+def test_rationals_hash_as_fractions():
+    # `==` accepts int and Fraction, so a rational hashes as the Fraction
+    assert hash(Cyclo.rational(3, Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(Cyclo.rational(5, 3)) == hash(3) and hash(Cyclo.zero(7)) == hash(0)
+    assert len({Cyclo.rational(2, 3), 3, Fraction(3)}) == 1
+    xi = Cyclo.xi_power(3, 1)
+    assert hash(xi * xi.inverse()) == hash(1)
+
+
 def test_doctests_run():
     # the `Cyclo` docstring pins the repr and the integer form
     import doctest
