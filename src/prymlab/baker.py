@@ -22,7 +22,7 @@ MOD_R_1..3, MOD_NR_1..3, CONN_i.
 
 from __future__ import annotations
 
-from .errors import BigCellError, FrameError, WindowError
+from .errors import BigCellError
 from .grass import GrassPoint
 from .jets import JetRing
 from .vseries import (
@@ -109,6 +109,8 @@ def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> B
     With `require_big_cell` (the default) a point that is not transverse
     to v_m V+ raises `BigCellError`; passing False falls back to the
     frame-complement normalization described in the module docstring.
+    A solve that needs rows below U's stored window raises `WindowError`
+    with the extension that would supply them.
     """
     model, ring = U.model, U.ring
     cdict = _flow_coords_dict(coords)
@@ -119,11 +121,7 @@ def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> B
     m = U.index_chi()
     zone = _zone(model, m)
     E = v_over_z(model, ring, m) * flow_exponential(model, ring, cdict)
-    residual, used, blocked = U.reduce(E)
-    if blocked:
-        raise WindowError(
-            "wave solve needs rows below the stored window (positions %s); "
-            "use fewer flow indices or a deeper frame" % sorted(blocked))
+    residual = U.certified_residual(E, "wave solve")
     u = E - residual
     # big cell: U cap v_m V+ = 0, and the residual lives in v_m V+ (no
     # obstruction at deep gap positions)
@@ -141,12 +139,11 @@ def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> B
     return BAFunction(ring, u, psi, big_cell)
 
 
-def adjoint_baker(U: GrassPoint, coords, *, dual=None,
+def adjoint_baker(U: GrassPoint, coords, *,
                   require_big_cell: bool = True) -> BAFunction:
     """Wave family of the orthogonal point with negated flow times."""
     neg = {k: -c for k, c in _flow_coords_dict(coords).items()}
-    return baker_akhiezer(U.orthogonal() if dual is None else dual, neg,
-                          require_big_cell=require_big_cell)
+    return baker_akhiezer(U.dual(), neg, require_big_cell=require_big_cell)
 
 
 # ------------------------------------------------------------------ jet blocks
@@ -267,15 +264,15 @@ _IDENTITIES = {
 
 
 def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
-                          cap: int = 1, dual=None) -> IdentityValue:
+                          cap: int = 1) -> IdentityValue:
     """Evaluate one residue identity on U, exactly, at the given jet cap.
 
     `depth` is the number of flow indices per independent time block;
     `cap` is the per-block truncation degree (the shared total-degree cap
     is cap * number-of-blocks).  The value is zero iff the identity holds
-    through the tested truncation.  `dual` is U.orthogonal(), or the
-    WindowError or FrameError that building it raised, if the caller
-    already has it; BKP_GEN does not use it.
+    through the tested truncation.  U builds its dual and its sigma image
+    once (`GrassPoint.dual`, `sigma_point`), so evaluations of several
+    tags and depths on one point share them; BKP_GEN uses neither.
     """
     model = U.model
     want = identity_case(tag)
@@ -288,11 +285,9 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
     spec, combine = _IDENTITIES[entry]
     if entry == "BKP_GEN":
         spec = spec[:model.p]
-    elif isinstance(dual, (WindowError, FrameError)):
-        raise dual
-    elif dual is None:
-        dual = U.orthogonal()
-    points = {"U": U, "dual": dual}
+        points = {"U": U}
+    else:
+        points = {"U": U, "dual": U.dual()}
     if entry == "SIGMA":
         points["sigma"] = U.sigma_point()
     sources = [(points[name], label, sign) for name, label, sign in spec]
@@ -327,7 +322,5 @@ def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:
     # sigma^{-1} of the monomial vector v_m/z_., times the substituted flow
     E = v_over_z(model, ring, UL.index_chi()).sigma_power(model.p - 1) \
         * flow_exponential(model, ring, tpp)
-    residual, _, blocked = UL.reduce(E)
-    if blocked:
-        raise WindowError("transform check needs a deeper frame window")
+    residual = UL.certified_residual(E, "transform check")
     return (lhs.u - (E - residual).sigma()).is_zero_certified()

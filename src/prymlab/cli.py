@@ -22,15 +22,12 @@ from .baker import (
     identity_key,
     residue_identity_eval,
 )
-from .errors import BigCellError, ConfigError, FrameError, PrymlabError, WindowError
+from .errors import ConfigError, FrameError, PrymlabError, WindowError
 from .grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from .jets import JetRing
 from .krichever import CurveSpec, FunctionRep, algebra_point, curve_invariants, module_point
 from .scalars import Cyclo
 from .vseries import Model, VSeries
-
-CHECK_NAMES = ("chi", "gaps", "sigma", "algebra", "isotropy", "connectedness",
-               "tangent") + IDENTITY_TAGS
 
 
 # ----------------------------------------------------------------- serialization
@@ -71,10 +68,14 @@ def parse_config(obj: dict) -> dict:
     checks = cfg.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ConfigError("config needs a nonempty 'checks' list")
+    known = tuple(CHECKS) + IDENTITY_TAGS
     for name in checks:
         if not isinstance(name, str) or (
-                name not in CHECK_NAMES and not name.startswith("CONN_")):
-            raise ConfigError("unknown check %r (known: %s)" % (name, ", ".join(CHECK_NAMES)))
+                name not in known and not name.startswith("CONN_")):
+            raise ConfigError("unknown check %r (known: %s)" % (name, ", ".join(known)))
+    for key in ("curve", "point", "expect"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], dict):
+            raise ConfigError("%s must be a JSON object" % key)
     window = cfg.get("window", [-12, 14])
     if not (isinstance(window, (list, tuple)) and len(window) == 2
             and all(_is_int(w) for w in window) and window[0] < window[1]):
@@ -95,13 +96,13 @@ def _curve_from_config(cfg) -> CurveSpec:
     try:
         coeffs = [Fraction(c) for c in cur["f"]]
         return CurveSpec(int(cur["p"]), coeffs)
-    except (KeyError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError("bad curve description: %s" % e)
 
 
 def build_point(cfg: dict) -> GrassPoint:
     lo, hi = cfg["window"]
-    point_cfg = cfg.get("point", {"type": "algebra"})
+    point_cfg = cfg.get("point") or {"type": "algebra"}
     kind = point_cfg.get("type", "algebra")
     if "curve" in cfg and kind in ("algebra", "module"):
         if lo > 0:
@@ -139,6 +140,8 @@ def _synthetic_point(kind: str, point_cfg: dict, model_cfg: dict) -> GrassPoint:
     if kind == "frame":
         rows = []
         for row in point_cfg.get("rows", []):
+            if not isinstance(row, dict):
+                raise TypeError("frame rows must be position -> value objects")
             data = {int(k): Fraction(v) for k, v in row.items()}
             rows.append(VSeries.from_positions(
                 model, ring, {k: ring.const(Cyclo.rational(model.p, v))
@@ -152,91 +155,83 @@ def _synthetic_point(kind: str, point_cfg: dict, model_cfg: dict) -> GrassPoint:
 # ----------------------------------------------------------------- check running
 
 
-def _identity_at_depths(tag: str, point: GrassPoint, depth: int, cap: int, dual):
+def _isotropy(point: GrassPoint, cfg: dict, out: dict):
+    ok, witness = point.isotropy_check()
+    if witness is not None:
+        out["witness"] = list(witness)
+    return ok
+
+
+def _tangent(point: GrassPoint, cfg: dict, out: dict):
+    val = point.tangent_orbit_dim(cfg["tangent_depth"])
+    out["depth"] = cfg["tangent_depth"]
+    return val
+
+
+# check name -> (phase, default expectation, evaluate(point, cfg, report
+# entry) -> value); a None expectation passes any value.  Checks run by
+# phase; the residue identities (IDENTITY_TAGS, CONN_<k>) are phase 2.
+CHECKS = {
+    "chi": (0, None, lambda point, cfg, out: point.index_chi()),
+    "gaps": (0, None, lambda point, cfg, out: point.gap_orders()),
+    "sigma": (1, True, lambda point, cfg, out: point.invariance_check()),
+    "algebra": (1, True, lambda point, cfg, out: point.algebra_point_check()),
+    "isotropy": (1, True, _isotropy),
+    "connectedness": (1, None, lambda point, cfg, out: {
+        str(i): v for i, v in sorted(point.connectedness_check().items())}),
+    "tangent": (3, None, _tangent),
+}
+
+
+def _identity_at_depths(tag: str, point: GrassPoint, depth: int, cap: int):
     """(value, flow depth) at the largest flow depth up to `depth` that the
     window certifies; (None, None) if there is none."""
     for d in range(depth, 0, -1):
         try:
-            return residue_identity_eval(tag, point, depth=d, cap=cap, dual=dual), d
+            return residue_identity_eval(tag, point, depth=d, cap=cap), d
         except WindowError:
             continue
     return None, None
 
 
-def run_check(name: str, point: GrassPoint, cfg: dict, dual=None, shared=None) -> dict:
+def run_check(name: str, point: GrassPoint, cfg: dict, shared: dict) -> dict:
     """One check's report entry.  `shared` maps identity_key(tag) to the
     (value, flow depth) of an identity evaluated earlier in the run."""
     cap = cfg["jet_cap"]
-    depth = cfg["flow_depth"]
     out = {"window": [point.stored_floor(), point.phi
                       if point.phi != float("inf") else None],
            "cap": cap}
     expect = (cfg.get("expect") or {}).get(name)
     try:
-        if name == "chi":
-            val = point.index_chi()
-            out["value"] = val
-            out["verdict"] = "pass" if expect in (None, val) else "fail"
-        elif name == "gaps":
-            val = point.gap_orders()
-            out["value"] = val
-            out["verdict"] = "pass" if expect in (None, val) else "fail"
-        elif name == "sigma":
-            ok = point.invariance_check()
-            out["value"] = ok
-            out["verdict"] = "pass" if ok == (True if expect is None else expect) else "fail"
-        elif name == "algebra":
-            ok = point.algebra_point_check()
-            out["value"] = ok
-            out["verdict"] = "pass" if ok == (True if expect is None else expect) else "fail"
-        elif name == "isotropy":
-            ok, witness = point.isotropy_check()
-            out["value"] = ok
-            if witness is not None:
-                out["witness"] = list(witness)
-            out["verdict"] = "pass" if ok == (True if expect is None else expect) else "fail"
-        elif name == "connectedness":
-            verdict = point.connectedness_check()
-            out["value"] = {str(i): v for i, v in sorted(verdict.items())}
-            if expect is None:
-                out["verdict"] = "pass"
-            else:
-                out["verdict"] = "pass" if out["value"] == expect else "fail"
-        elif name == "tangent":
-            m_depth = cfg["tangent_depth"]
-            val = point.tangent_orbit_dim(m_depth)
-            out["value"] = val
-            out["depth"] = m_depth
-            out["verdict"] = "pass" if expect in (None, val) else "fail"
+        if name in CHECKS:
+            _, default, evaluate = CHECKS[name]
+            out["value"] = evaluate(point, cfg, out)
+            want = default if expect is None else expect
+            out["verdict"] = "pass" if want is None or out["value"] == want else "fail"
+            return out
+        depth = cfg["flow_depth"]
+        key = identity_key(name)
+        if key not in shared:
+            shared[key] = _identity_at_depths(name, point, depth, cap)
+        val, used = shared[key]
+        if val is None:
+            raise WindowError("identity %s not certifiable at any flow depth "
+                              "up to %d in this window" % (name, depth))
+        zero = val.is_zero()
+        out["value"] = "0" if zero else val.witness()
+        out["big_cell"] = val.big_cell
+        out["flow_depth"] = used
+        if name.startswith("CONN") and expect is None:
+            # the connectedness residue is a dichotomy, not a law:
+            # nonzero means connected, zero means split
+            out["verdict"] = "pass"
         else:
-            tag = name
-            shared = {} if shared is None else shared
-            key = identity_key(tag)
-            if key not in shared:
-                shared[key] = _identity_at_depths(tag, point, depth, cap, dual)
-            val, used = shared[key]
-            if val is None:
-                raise WindowError("identity %s not certifiable at any flow depth "
-                                  "up to %d in this window" % (tag, depth))
-            zero = val.is_zero()
-            out["value"] = "0" if zero else val.witness()
-            out["big_cell"] = val.big_cell
-            out["flow_depth"] = used
-            if tag.startswith("CONN") and expect is None:
-                # the connectedness residue is a dichotomy, not a law:
-                # nonzero means connected, zero means split
-                out["verdict"] = "pass"
-            else:
-                want_zero = True if expect is None else bool(expect)
-                out["verdict"] = "pass" if zero == want_zero else "fail"
-            out["zero"] = zero
+            want_zero = True if expect is None else bool(expect)
+            out["verdict"] = "pass" if zero == want_zero else "fail"
+        out["zero"] = zero
         return out
-    except WindowError as e:
-        out["verdict"] = "window-insufficient"
-        out["detail"] = str(e)
-        return out
-    except (BigCellError, FrameError) as e:
-        out["verdict"] = "fail"
+    except (WindowError, FrameError) as e:
+        out["verdict"] = "window-insufficient" if isinstance(e, WindowError) else "fail"
         out["detail"] = str(e)
         return out
 
@@ -247,8 +242,8 @@ def run(cfg: dict) -> dict:
     point = build_point(cfg)
     report = {"config": {k: v for k, v in cfg.items() if k != "out"},
               "checks": {}, "timing": {"build": round(time.time() - t0, 6)}}
-    order = sorted(cfg["checks"],
-                   key=lambda n: (_phase(n), cfg["checks"].index(n)))
+    order = sorted(cfg["checks"], key=lambda n: (
+        CHECKS[n][0] if n in CHECKS else 2, cfg["checks"].index(n)))
     names = list(dict.fromkeys(order))
     for n in names:
         need = "NR" if n == "connectedness" else identity_case(n)
@@ -258,34 +253,16 @@ def run(cfg: dict) -> dict:
         if n.startswith("CONN_") and not conn_components(n, point.model.p):
             raise ConfigError("check %s names no component (CONN_i or CONN_1 .. "
                               "CONN_%d)" % (n, point.model.p))
-    # every identity but BKP_GEN pairs with the dual: build it once, at
-    # the first of them; a dual that cannot be built is tried once too,
-    # and its error is handed to each check, which raises it
-    first_pairing = next((n for n in names if _phase(n) == 2 and n != "BKP_GEN"), None)
-    # SIGMA_* and MOD_*_1 are one pairing: it is evaluated once
-    dual, shared = None, {}
+    # SIGMA_* and MOD_*_1 are one pairing: it is evaluated once; the
+    # point builds its dual and sigma image once for every identity
+    shared = {}
     for n in names:
         t1 = time.time()
-        if n == first_pairing:
-            try:
-                dual = point.orthogonal()
-            except (WindowError, FrameError) as e:
-                dual = e
-        report["checks"][n] = run_check(n, point, cfg, dual, shared)
+        report["checks"][n] = run_check(n, point, cfg, shared)
         report["timing"][n] = round(time.time() - t1, 6)
     report["timing"]["total"] = round(time.time() - t0, 6)
     report["verdict"] = overall_verdict(report)
     return report
-
-
-def _phase(name: str) -> int:
-    if name in ("chi", "gaps"):
-        return 0
-    if name in ("sigma", "algebra", "isotropy", "connectedness"):
-        return 1
-    if name == "tangent":
-        return 3
-    return 2
 
 
 def overall_verdict(report: dict) -> str:
@@ -415,9 +392,9 @@ def selftest(seed: int = 0) -> dict:
         ring = JetRing.scalar(p)
         for _ in range(5):
             U = _random_point(rng, model, ring)
-            DD = U.orthogonal().orthogonal()
+            DD = U.dual().dual()
             ok = ok and _frames_agree(U, DD)
-            chi, chid = U.index_chi(), U.orthogonal().index_chi()
+            chi, chid = U.index_chi(), U.dual().index_chi()
             ok = ok and (chid == (1 - chi - p if case == "R" else -chi))
     results["orthogonal_involution"] = ok
     results["ok"] = all(results.values())

@@ -38,8 +38,23 @@ class GrassPoint:
         self.phi = phi
         self.pivots_full_below = pivots_full_below or tail is not None
         self.max_pivot_bound = max_pivot_bound
+        self._derived = {}
         if self.tail is not None and len(self.tail) != model.ncomp:
             raise ValueError("tail needs one exponent bound per component")
+
+    def _once(self, key, build):
+        """build() at the first call; its frame, or the WindowError or
+        FrameError it raised (with a fresh traceback), at every later one.
+        A frame is not changed once its builder returns, so what is derived
+        from it stays valid."""
+        if key not in self._derived:
+            try:
+                self._derived[key] = build()
+            except (WindowError, FrameError) as e:
+                self._derived[key] = e
+        if isinstance(self._derived[key], Exception):
+            raise self._derived[key].with_traceback(None)
+        return self._derived[key]
 
     # ------------------------------------------------------------------ shape
 
@@ -138,9 +153,9 @@ class GrassPoint:
     def reduce(self, v: VSeries):
         """Reduce v against the frame.
 
-        Returns (residual, used, blocked): `used` maps pivot -> coefficient,
-        `blocked` lists positions where a non-materialized deep row would be
-        needed.  The residual is certified below min(v window, frame window).
+        Returns (residual, blocked): `blocked` lists positions where a
+        non-materialized deep row would be needed.  The residual is
+        certified below min(v window, frame window).
         """
         frame, v = self._aligned(v)
         if frame is not self:
@@ -149,8 +164,8 @@ class GrassPoint:
         if not _isinf(self.phi):
             hi = min(hi, self.model.exp_window(0, self.phi)[1])
         comps = [{e: c for e, c in d.items() if e < hi} for d in v.comps]
-        lo, hi, used, blocked = self._clear(comps, v.lo, hi)
-        return VSeries(self.model, self.ring, comps, lo, hi), used, blocked
+        lo, hi, blocked = self._clear(comps, v.lo, hi)
+        return VSeries(self.model, self.ring, comps, lo, hi), blocked
 
     def _clear(self, comps, lo, hi, skip=None):
         """Clear `comps` in place at the tail and at every row pivot but `skip`.
@@ -158,13 +173,12 @@ class GrassPoint:
         `comps` holds one exponent -> coefficient map per component, all
         below `hi`.  Each pass sweeps the positions upwards; a pivot or tail
         entry that a row puts above the sweep is cleared in the same pass,
-        one below it in the next.  Returns (lo, hi, used, blocked) as for
-        `reduce`; [lo, hi) is the common window of the input and every row
-        used.
+        one below it in the next.  Returns (lo, hi, blocked), `blocked` as
+        for `reduce`; [lo, hi) is the common window of the input and every
+        row used.
         """
         m = self.model
         rows, tail = self.rows, self.tail
-        used = {}
         blocked = set()
         floor = self.stored_floor()
         for _ in range(self.ring.cap + 2):
@@ -212,25 +226,29 @@ class GrassPoint:
                                     del d[e2]
                                 else:
                                     d[e2] = s
-                    used[n] = used.get(n, self.ring.zero()) + c
                     changed = True
                 elif floor is not None and n < floor and self.pivots_full_below:
                     blocked.add(n)
             if not changed:
                 break
-        return lo, hi, used, blocked
+        return lo, hi, blocked
 
-    def membership(self, v: VSeries) -> bool:
-        """Certified membership of v within the common window."""
-        residual, _, blocked = self.reduce(v)
+    def certified_residual(self, v: VSeries, what: str) -> VSeries:
+        """The residual of v, or `WindowError` if it is nonzero at a
+        position below the stored window, where a deep row would clear it."""
+        residual, blocked = self.reduce(v)
         bad = [n for n in blocked if not residual.pos_coeff(n).is_zero()]
         if bad:
             raise WindowError(
-                "membership needs rows below the stored window (positions %s)"
-                % sorted(bad),
+                "%s needs rows below the stored window (positions %s)"
+                % (what, sorted(bad)),
                 suggest=(self.stored_floor() or 0) - min(bad),
             )
-        return residual.is_zero_certified()
+        return residual
+
+    def membership(self, v: VSeries) -> bool:
+        """Certified membership of v within the common window."""
+        return self.certified_residual(v, "membership").is_zero_certified()
 
     def contains_unit_vector(self, i: int) -> bool:
         return self.membership(VSeries.unit_vector(self.model, self.ring, i))
@@ -238,7 +256,10 @@ class GrassPoint:
     # ------------------------------------------------------------------ sigma
 
     def sigma_point(self) -> "GrassPoint":
-        """The point rho(sigma) U."""
+        """The point rho(sigma) U, built once."""
+        return self._once("sigma", self._sigma_frame)
+
+    def _sigma_frame(self) -> "GrassPoint":
         m = self.model
         if m.case == "R":
             # positions are fixed; only the pivot normalization changes
@@ -267,6 +288,11 @@ class GrassPoint:
         return True
 
     # ------------------------------------------------------------------ pairing dual
+
+    def dual(self) -> "GrassPoint":
+        """`orthogonal()`, built once (`orthogonal` builds at every call); a
+        dual that cannot be built is tried once, and its error raised again."""
+        return self._once("dual", self.orthogonal)
 
     def orthogonal(self) -> "GrassPoint":
         """Annihilator under the residue pairing, as a frame.
@@ -528,7 +554,7 @@ class GrassPoint:
                     hit = products.get((comp, e, pivot))
                     if hit is None:
                         prod = VSeries.monomial(m, self.ring, comp, e) * r
-                        residual, _, blocked = self.reduce(prod)
+                        residual, blocked = self.reduce(prod)
                         lo = max(blocked) + 1 if blocked else _DEEP
                         top = top_pos + r.pos_window()[0]
                         hit = products[(comp, e, pivot)] = (
@@ -599,7 +625,7 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
     for v in vectors:
         if not ring.compatible(v.ring):
             v = v.lift(ring)
-        residual, _, _ = shell.reduce(v)
+        residual, _ = shell.reduce(v)
         if residual.is_zero_certified():
             continue
         piv = residual.leading_unit_position()
@@ -612,7 +638,7 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
     for n in sorted(shell.rows):
         r = shell.rows[n]
         comps = [dict(d) for d in r.comps]
-        lo, hi, _, _ = shell._clear(comps, r.lo, r.hi, skip=n)
+        lo, hi, _ = shell._clear(comps, r.lo, r.hi, skip=n)
         shell.rows[n] = VSeries(model, ring, comps, lo, hi)
     if max_pivot_bound is None:
         shell.max_pivot_bound = max(shell.rows) if shell.rows else -1

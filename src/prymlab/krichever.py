@@ -274,7 +274,8 @@ def module_point(curve: CurveSpec, gens, depth: int, height: int | None = None,
     point = module_closure(exp.model, exp.ring, vecs, algebra,
                            phi=min(v.pos_window()[1] for v in vecs),
                            floor=floor, pivots_full_below=True)
-    point.max_pivot_bound = max(point.rows) if point.rows else 0
+    if not point.rows:
+        raise ValueError("every generator expands to zero in the window")
     return point
 
 

@@ -18,7 +18,7 @@ from prymlab.baker import (
     v_over_z,
 )
 from prymlab.errors import BigCellError, FrameError, WindowError
-from prymlab.grass import build_frame, lines_point, u_n_point, v_minus
+from prymlab.grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from prymlab.jets import JetRing
 from prymlab.krichever import CurveSpec, algebra_point
 from prymlab.vseries import (
@@ -99,8 +99,7 @@ def test_adjoint_adjoint_is_identity_on_monomial_points():
     U = v_minus(m, ring)
     ba = baker_akhiezer(U, blocks["t"])
     adj = adjoint_baker(U, blocks["t"])
-    dd = adjoint_baker(U.orthogonal(), {k: -c for k, c in blocks["t"].items()},
-                       dual=U.orthogonal().orthogonal())
+    dd = adjoint_baker(U.orthogonal(), {k: -c for k, c in blocks["t"].items()})
     assert dd.u.same_data(ba.u)
 
 
@@ -115,6 +114,64 @@ def test_pairing_of_wave_families_vanishes():
             ba = baker_akhiezer(U, blocks["t"], require_big_cell=False)
             adj = adjoint_baker(U, blocks["s"], require_big_cell=False)
             assert residue_pairing(ba.u, adj.u).is_zero()
+
+
+def _y2x5_point(depth=10, height=14):
+    return algebra_point(CurveSpec(2, [Fraction(c) for c in (-1, 0, 0, 0, 0, 1)]),
+                         depth, height)
+
+
+def _count_builds(monkeypatch, *names, fail=False):
+    """Count calls of the GrassPoint builders `names`; with `fail` they raise."""
+    builds = {name: 0 for name in names}
+    for name in names:
+        build = getattr(GrassPoint, name)
+
+        def counting(self, name=name, build=build):
+            builds[name] += 1
+            if fail:
+                raise FrameError("no %s in this test" % name)
+            return build(self)
+
+        monkeypatch.setattr(GrassPoint, name, counting)
+    return builds
+
+
+def test_a_point_builds_its_dual_and_sigma_image_once(monkeypatch):
+    builds = _count_builds(monkeypatch, "orthogonal", "_sigma_frame")
+    U = _y2x5_point()
+    for tag in ("SIGMA_R", "MOD_R_1", "MOD_R_2", "MOD_R_3", "BKP_GEN"):
+        for depth in (1, 2, 3):
+            try:
+                residue_identity_eval(tag, U, depth=depth, cap=1)
+            except WindowError:
+                pass
+    assert builds == {"orthogonal": 1, "_sigma_frame": 1}
+    assert U.dual() is U.dual() and U.sigma_point() is U.sigma_point()
+    adjoint_baker(U, {}, require_big_cell=False)
+    assert builds["orthogonal"] == 1
+
+
+def test_a_dual_that_cannot_be_built_is_tried_once(monkeypatch):
+    builds = _count_builds(monkeypatch, "orthogonal", fail=True)
+    U = _y2x5_point()
+    for tag in ("SIGMA_R", "MOD_R_2", "MOD_R_3"):
+        for depth in (1, 2):
+            with pytest.raises(FrameError, match="no orthogonal in this test"):
+                residue_identity_eval(tag, U, depth=depth, cap=1)
+    assert residue_identity_eval("BKP_GEN", U, depth=2, cap=1).is_zero()
+    assert builds == {"orthogonal": 1}
+
+
+def test_the_wave_solve_suggests_the_window_it_needs():
+    # flow depth 9 multiplies down past the stored rows of pole depth 10
+    ring, blocks = identity_ring(Model(2, "R"), ("t",), 9, 1)
+    with pytest.raises(WindowError, match="wave solve needs rows below") as err:
+        baker_akhiezer(_y2x5_point().lifted(ring), blocks["t"], require_big_cell=False)
+    assert err.value.suggest == 1
+    deeper = _y2x5_point(10 + err.value.suggest).lifted(ring)
+    assert deeper.membership(
+        baker_akhiezer(deeper, blocks["t"], require_big_cell=False).u)
 
 
 # ------------------------------------------------------------------ identities
@@ -291,11 +348,12 @@ def _ref_baker_akhiezer(U, coords, *, require_big_cell=True):
     m = U.index_chi()
     g = flow_exponential(model, ring, cdict)
     E = _ref_v_over_z(model, ring, m) * g
-    residual, used, blocked = U.reduce(E)
-    if blocked:
+    residual, blocked = U.reduce(E)
+    bad = sorted(n for n in blocked if not residual.pos_coeff(n).is_zero())
+    if bad:
         raise WindowError(
-            "wave solve needs rows below the stored window (positions %s); "
-            "use fewer flow indices or a deeper frame" % sorted(blocked))
+            "wave solve needs rows below the stored window (positions %s)" % bad,
+            suggest=U.stored_floor() - bad[0])
     u = E - residual
     vm = _ref_normalizing_element(model, ring, m)
     zone_floor = {i + 1: min(d) for i, d in enumerate(vm.comps)}
@@ -357,7 +415,7 @@ def _ref_kernel_count(point, label):
     return label, len(_ref_kernel_rows(point, m))
 
 
-def _ref_residue_identity_eval(tag, U, *, depth=4, cap=1, dual=None):
+def _ref_residue_identity_eval(tag, U, *, depth=4, cap=1):
     model = U.model
     want = identity_case(tag)
     if want is not None and model.case != want:
@@ -370,10 +428,7 @@ def _ref_residue_identity_eval(tag, U, *, depth=4, cap=1, dual=None):
         fams = [_ref_augmented_family(UL, blocks[l], ring, l) for l in labels]
         value = wedge_residue([f for f, _ in fams])
         return IdentityValue(value, {"psi": fams[0][1].big_cell})
-    if dual is None:
-        dual = U.orthogonal()
-    elif isinstance(dual, (WindowError, FrameError)):
-        raise dual
+    dual = U.orthogonal()
     if tag in ("SIGMA_R", "SIGMA_NR", "MOD_R_1", "MOD_NR_1"):
         sig = U.sigma_point()
         ext = dict([_ref_kernel_count(sig, "t"), _ref_kernel_count(dual, "s")])
@@ -443,8 +498,7 @@ def _zoo():
         U = random_point(rng, Model(p, case), scalar_ring(p))
         if not baker_akhiezer(U, {}, require_big_cell=False).big_cell:
             off.append(U)
-    curve = CurveSpec(2, [Fraction(c) for c in (-1, 0, 0, 0, 0, 1)])
-    return pts + off + [algebra_point(curve, 8, 12)]
+    return pts + off + [_y2x5_point(8, 12)]
 
 
 ZOO_TAGS = ("SIGMA_R", "SIGMA_NR", "BKP_GEN", "MOD_R_1", "MOD_R_2", "MOD_R_3",

@@ -207,6 +207,10 @@ def test_usage_error_is_a_config_error(tmp_path, capsys):
     ("window", ["a", "b"]),
     ("window", [-12.5, 14]),   # would be cut to -12
     ("checks", "chi"),
+    ("expect", [1]),
+    ("point", "algebra"),
+    ("curve", "y2x5"),
+    ("curve", {"p": 2, "f": 5}),
 ])
 def test_bad_numeric_config_is_a_config_error(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -331,6 +335,7 @@ def test_identity_subcommand_checks_the_conn_range(tmp_path, capsys):
     [[[0, 0, "abc"]]],                                # ValueError
     [{"num": [[0, 0, "1"]], "den": [[0, 0, "0"]]}],   # ZeroDivisionError
     [[0, 0]],                                         # TypeError
+    [[[0, 0, "0"]]],                                  # a zero module: chi 1, gaps []
 ])
 def test_bad_module_generators_are_a_config_error(tmp_path, capsys, generators):
     path = _y2x6_config(tmp_path, point={"type": "module", "generators": generators})
@@ -341,6 +346,7 @@ def test_bad_module_generators_are_a_config_error(tmp_path, capsys, generators):
     {"type": "u_n", "n": [1]},                 # TypeError
     {"type": "v_minus", "shift": None},        # TypeError
     {"type": "frame", "rows": [{"0": "1/0"}]},  # ZeroDivisionError
+    {"type": "frame", "rows": "abc"},           # rows that are not objects
 ])
 def test_bad_synthetic_values_are_a_config_error(tmp_path, capsys, point):
     cfg_path = tmp_path / "cfg.json"

@@ -346,7 +346,6 @@ def _reference_reduce(U, v):
     if not _isinf(U.phi):
         v = v.truncate(U.model.exp_window(0, U.phi)[1])
     residual = v
-    used = {}
     blocked = set()
     floor = U.stored_floor()
     for _ in range(U.ring.cap + 2):
@@ -362,13 +361,12 @@ def _reference_reduce(U, v):
             row = U.rows.get(n)
             if row is not None:
                 residual = residual - row.scale(c)
-                used[n] = used.get(n, U.ring.zero()) + c
                 changed = True
             elif floor is not None and n < floor and U.pivots_full_below:
                 blocked.add(n)
         if not changed:
             break
-    return residual, used, blocked
+    return residual, blocked
 
 
 def _reference_tangent_rows(U, depth):
@@ -424,7 +422,7 @@ def _reference_tangent_once(U, depth, keys, systems):
                     i2 = (i - 1 + k) % p + 1
                     base = VSeries.monomial(m, U.ring, i2, e)
                     keys.add((i2, e, r.leading_position()))
-                residual, _, blocked = _reference_reduce(U, base * r)
+                residual, blocked = _reference_reduce(U, base * r)
                 lo_r, hi_r = residual.pos_window()
                 slot = per_row.setdefault(ridx, {"lo": -(10 ** 9), "hi": None, "eqs": {}})
                 if blocked:
@@ -572,7 +570,6 @@ def test_reduce_matches_reference(cap):
                 got, want = U.reduce(v), _reference_reduce(U, v)
                 assert got[0] == want[0]          # coefficients and window
                 assert got[1] == want[1]
-                assert got[2] == want[2]
 
 
 # ------------------------------------------------------------------ build_frame: reference
@@ -619,9 +616,9 @@ def _reference_build_frame(model, ring, vectors, *, tail=None, phi=INF,
     for v in vectors:
         if not ring.compatible(v.ring):
             v = v.lift(ring)
-        residual, used, _ = _reference_reduce(shell, v)
-        got, got_used, _ = shell.reduce(v)
-        same_path = same_path and got == residual and got_used == used
+        residual, _ = _reference_reduce(shell, v)
+        got, _ = shell.reduce(v)
+        same_path = same_path and got == residual
         if residual.is_zero_certified():
             continue
         piv = residual.leading_unit_position()

@@ -4,7 +4,7 @@ renamed or deleted target would silently read 0 in every traced run."""
 import importlib.util
 from pathlib import Path
 
-import prymlab.cli  # noqa: F401  (imports every module the tracer wraps)
+import prymlab.cli as cli  # imports every module the tracer wraps
 from prymlab import grass
 from prymlab.grass import u_n_point
 from prymlab.jets import JetRing
@@ -54,3 +54,22 @@ def test_isotropy_traces_one_wedge_span_per_tuple(monkeypatch):
     assert len(wedges) == len(tuples)
     assert all(names[parent] == "grass.isotropy_check" for parent, _ in wedges)
     assert wedges[-1][1]  # the witness tuple's residue was certified
+
+
+def test_a_traced_identity_run_counts_one_dual_per_point():
+    # `grass.orthogonal.per_point` reads these spans: they count builds
+    t = _tracer()
+    cfg = {"curve": {"p": 2, "f": ["-1", "0", "0", "0", "0", "1"]},
+           "window": [-10, 14], "flow_depth": 6, "expect": {},
+           "checks": ["SIGMA_R", "MOD_R_1", "MOD_R_2", "MOD_R_3"]}
+    try:
+        t.install()
+        reports = [cli.run(cfg), cli.run(dict(cfg, checks=["MOD_R_3", "SIGMA_R"]))]
+    finally:
+        t.uninstall()
+    assert all(r["verdict"] == "pass" for r in reports)
+    names = [name for _, name, *_ in t.spans]
+    assert names.count("cli.build") == 2
+    assert names.count("grass.orthogonal") == 2
+    # the flow-depth retries evaluated identities more often than once a check
+    assert names.count("baker.residue_identity_eval") > 5
