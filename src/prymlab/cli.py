@@ -61,6 +61,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# the JSON type a pinned expectation must have, as (test, description);
+# every check not named here takes a JSON boolean
+_EXPECT_TYPES = {
+    "chi": (_is_int, "an integer"),
+    "tangent": (_is_int, "an integer"),
+    "gaps": (lambda x: isinstance(x, list) and all(_is_int(v) for v in x),
+             "a list of integers"),
+    "connectedness": (lambda x: isinstance(x, dict)
+                      and all(isinstance(v, bool) for v in x.values()),
+                      "an object of true/false values"),
+}
+_BOOL_EXPECT = (lambda x: isinstance(x, bool), "true or false")
+
+
 def parse_config(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
@@ -76,6 +90,11 @@ def parse_config(obj: dict) -> dict:
     for key in ("curve", "point", "expect"):
         if cfg.get(key) is not None and not isinstance(cfg[key], dict):
             raise ConfigError("%s must be a JSON object" % key)
+    for name, want in (cfg.get("expect") or {}).items():
+        test, what = _EXPECT_TYPES.get(name, _BOOL_EXPECT)
+        if not test(want):
+            raise ConfigError("expect[%r] must be %s, not %s"
+                              % (name, what, json.dumps(want)))
     window = cfg.get("window", [-12, 14])
     if not (isinstance(window, (list, tuple)) and len(window) == 2
             and all(_is_int(w) for w in window) and window[0] < window[1]):

@@ -154,38 +154,23 @@ def sigma_minus_id(c: FlowCoords) -> FlowCoords:
 
 def prym_membership_coords(c: FlowCoords) -> bool:
     """Does the flow lie in the formal Prym (kernel of the norm)?"""
-    m, p = c.model, c.model.p
     if c.kind != "cover":
         raise ValueError("Prym membership applies to cover coordinates")
-    if m.case == "R":
-        return all(v.is_zero() for j, v in c.coords.items() if j % p == 0)
-    sums = {}
-    for (i, j), v in c.coords.items():
-        sums[j] = sums.get(j, c.ring.zero()) + v
-    return all(v.is_zero() for v in sums.values())
+    return not jac_coord_map("norm", c).coords
 
 
 def prym_complement(c: FlowCoords) -> FlowCoords:
-    """Projection onto the formal Prym: the composite of (id - sigma*^i).
+    """Projection onto the formal Prym: the composite of (id - sigma*^i),
+    which is p*c - pullback(norm(c)).
 
     In coordinates: p*t_j for p not dividing j and 0 otherwise (ramified);
     p*t_j^(i) - sum_k t_j^(k) (non-ramified).  Output always satisfies
     `prym_membership_coords`.
     """
-    m, ring, p = c.model, c.ring, c.model.p
     if c.kind != "cover":
         raise ValueError("the Prym projection applies to cover coordinates")
-    if m.case == "R":
-        out = {j: v * p for j, v in c.coords.items() if j % p != 0}
-        return FlowCoords(m, ring, "cover", out)
-    sums = {}
-    for (i, j), v in c.coords.items():
-        sums[j] = sums.get(j, ring.zero()) + v
-    out = {}
-    for j, s in sums.items():
-        for i in range(1, p + 1):
-            out[(i, j)] = c.get((i, j)) * p - s
-    return FlowCoords(m, ring, "cover", out)
+    back = jac_coord_map("pullback", jac_coord_map("norm", c))
+    return c.scale(c.model.p).add(back.scale(-1))
 
 
 def multiply_map(u: FlowCoords, b: FlowCoords) -> FlowCoords:
@@ -195,19 +180,9 @@ def multiply_map(u: FlowCoords, b: FlowCoords) -> FlowCoords:
 
 def split_map(c: FlowCoords):
     """Inverse direction of `multiply_map`: coordinates (u, b) with
-    m(u, b) = c, u in the Prym; exists uniquely in characteristic zero."""
-    m, ring, p = c.model, c.ring, c.model.p
-    if m.case == "R":
-        b = FlowCoords(m, ring, "base",
-                       {j // p: v for j, v in c.coords.items() if j % p == 0})
-        u = FlowCoords(m, ring, "cover",
-                       {j: v for j, v in c.coords.items() if j % p != 0})
-        return u, b
-    sums = {}
-    for (i, j), v in c.coords.items():
-        sums[j] = sums.get(j, ring.zero()) + v
-    inv_p = Fraction(1, p)
-    b = FlowCoords(m, ring, "base", {j: v * inv_p for j, v in sums.items()})
+    m(u, b) = c, u in the Prym; exists uniquely in characteristic zero:
+    b = norm(c) / p and u = c - pullback(b)."""
+    b = jac_coord_map("norm", c).scale(Fraction(1, c.model.p))
     u = c.add(jac_coord_map("pullback", b).scale(-1))
     return u, b
 

@@ -359,12 +359,7 @@ class GrassPoint:
     def group_act(self, g: VSeries) -> "GrassPoint":
         """The point g.U for an invertible g (unit leading data per component)."""
         m = self.model
-        base = self
-        if not self.ring.compatible(g.ring):
-            try:
-                g = g.lift(self.ring)
-            except ValueError:
-                base = self.lifted(g.ring)
+        base, g = self._aligned(g)
         shifts, reaches = [], []
         for ci in range(m.ncomp):
             d = g.comps[ci]
@@ -513,8 +508,14 @@ class GrassPoint:
         """dim T_1 Pi / (ker d mu_U + T_1 Pibar+), principal parts to `depth`.
 
         Builds the exact linear system for g supported on exponents
-        [-depth, E): tr(g) constant, sigma^k(g) . row in U for all k; the
-        dimension is (principal-part space with the trace constraint) minus
+        [-depth, E) in sigma-eigen coordinates: the unknown (c, e) is the
+        coefficient of z1^e (ramified, c = e mod p) or of z^e w_c
+        (non-ramified, w_c = sum_i xi^(c(i-1)) e_i), and sigma scales both
+        by a power of xi fixed by the class c.  The sigma^k(g) span the
+        eigencomponents of g, so "sigma^k(g) . row in U for all k" is "each
+        eigencomponent times row in U", and tr(g) (p times the class-0
+        part) is constant when every class-0 unknown off e = 0 vanishes.
+        The dimension is (principal parts outside class 0) minus
         (principal parts of the nullspace).
         """
         m = self.model
@@ -524,68 +525,50 @@ class GrassPoint:
         e_hi = depth + 2
         if not _isinf(self.phi):
             e_hi = max(e_hi, m.exp_window(0, self.phi)[1] - 1)
-        unknowns = [(i, e) for i in range(1, m.ncomp + 1) for e in range(-depth, e_hi)]
+        exps = range(-depth, e_hi)
+        if m.case == "R":
+            unknowns = [(e % p, e) for e in exps]
+        else:
+            unknowns = [(c, e) for c in range(p) for e in exps]
         col = {u: k for k, u in enumerate(unknowns)}
-        equations = []
-        if m.case == "R":
-            for n in range(-depth, e_hi):
-                if n != 0 and n % p == 0:
-                    equations.append({col[(1, n)]: Cyclo.one(p)})
-        else:
-            for e in range(-depth, e_hi):
-                if e != 0:
-                    equations.append({col[(i, e)]: Cyclo.one(p) for i in range(1, p + 1)})
-        rows = self._tangent_rows(depth)
+        equations = [{col[(0, e)]: Cyclo.one(p)} for e in exps if e and (0, e) in col]
+        # (class, weight) targets of an entry of z^e e_comp . row: its own
+        # class (ramified) or every class, by the w_c coefficient of e_comp
+        weights = [[(c, m.xi_pow(c * i) if c * i % p else None) for c in range(p)]
+                   for i in range(m.ncomp)]
         top_pos = m.pos(1, e_hi)
-        # Reduction is K-linear and sigma^k only twists (ramified) or
-        # relabels (non-ramified) the monomial, so every sigma^k reads one
-        # reduction of z^e e_comp . row per (comp, e, row pivot): (lowest
-        # position certified by the frame, residual window top, the
-        # [(position, constant term)] below top_pos + row start).
-        products = {}
-        for k in range(p):
-            slots = [[_DEEP, None, {}] for _ in rows]
-            for (i, e), cidx in col.items():
-                if m.case == "R":
-                    comp, twist = 1, (m.xi_pow(k * e) if k else None)
-                else:
-                    comp, twist = (i - 1 + k) % p + 1, None
-                for slot, (pivot, r) in zip(slots, rows):
-                    hit = products.get((comp, e, pivot))
-                    if hit is None:
-                        prod = VSeries.monomial(m, self.ring, comp, e) * r
-                        residual, blocked = self.reduce(prod)
-                        lo = max(blocked) + 1 if blocked else _DEEP
-                        top = top_pos + r.pos_window()[0]
-                        hit = products[(comp, e, pivot)] = (
-                            lo, residual.pos_window()[1],
-                            [(q, c.constant_term()) for q, c in residual.pos_items()
-                             if lo <= q < top])
-                    lo, hi, entries = hit
-                    if lo > slot[0]:
-                        slot[0] = lo
-                    if slot[1] is None or hi < slot[1]:
-                        slot[1] = hi
-                    eqs = slot[2]
-                    for q, c in entries:
-                        eqs.setdefault(q, {})[cidx] = c if twist is None else c * twist
-            for (lo, hi, eqs), (_, r) in zip(slots, rows):
-                valid_hi = min(hi, top_pos + r.pos_window()[0])
-                for q, eq in eqs.items():
-                    if lo <= q < valid_hi:
-                        equations.append(eq)
+        for r in self._tangent_rows(depth):
+            # the row's equations hold on the meet of its products' windows;
+            # an entry outside the meet so far stays outside it
+            lo, hi = _DEEP, top_pos + r.pos_window()[0]
+            eqs = {}
+            for comp in range(1, m.ncomp + 1):
+                for e in exps:
+                    residual, blocked = self.reduce(
+                        VSeries.monomial(m, self.ring, comp, e) * r)
+                    if blocked:
+                        lo = max(lo, max(blocked) + 1)
+                    hi = min(hi, residual.pos_window()[1])
+                    targets = [(e % p, None)] if m.case == "R" else weights[comp - 1]
+                    for q, a in residual.pos_items():
+                        if not lo <= q < hi:
+                            continue
+                        a = a.constant_term()
+                        for c, w in targets:
+                            x = a if w is None else a * w
+                            eq = eqs.setdefault((c, q), {})
+                            k = col[(c, e)]
+                            eq[k] = eq[k] + x if k in eq else x
+            equations.extend(eq for (_, q), eq in eqs.items() if lo <= q < hi)
         basis = nullspace(equations, len(unknowns), p)
-        neg_cols = [kk for kk, (i, e) in enumerate(unknowns) if e < 0]
-        if m.case == "R":
-            amb = depth - depth // p
-        else:
-            amb = (p - 1) * depth
-        projected = [[vec[kk] for kk in neg_cols] for vec in basis]
+        neg_cols = [k for k, (_, e) in enumerate(unknowns) if e < 0]
+        amb = sum(1 for c, e in unknowns if c and e < 0)
+        projected = [[vec[k] for k in neg_cols] for vec in basis]
         return amb - rank_of_vectors(projected, len(neg_cols), p)
 
     def _tangent_rows(self, depth: int):
-        """(pivot, row) pairs usable as constraints: products must stay in
-        the window.  Tail monomials are keyed by their own position."""
+        """Rows usable as constraints: products must stay in the window.
+        Tail monomials near the tail edge come last."""
         m = self.model
         rows = []
         floor = self.stored_floor()
@@ -595,12 +578,11 @@ class GrassPoint:
             if self.tail is None and floor is not None:
                 if r.pos_window()[0] + depth_pos < floor:
                     continue
-            rows.append((n, r))
+            rows.append(r)
         if self.tail is not None:
             for i, t in enumerate(self.tail):
                 for e in range(t - depth - 1, t):
-                    rows.append((m.pos(i + 1, e),
-                                 VSeries.monomial(m, self.ring, i + 1, e)))
+                    rows.append(VSeries.monomial(m, self.ring, i + 1, e))
         return rows
 
     # ------------------------------------------------------------------ misc

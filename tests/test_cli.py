@@ -211,6 +211,18 @@ def test_usage_error_is_a_config_error(tmp_path, capsys):
     ("point", "algebra"),
     ("curve", "y2x5"),
     ("curve", {"p": 2, "f": 5}),
+    ("expect", {"SIGMA_R": "false"}),   # bool("false") asked for zero
+    ("expect", {"sigma": "true"}),      # True == "true" failed a true check
+    ("expect", {"algebra": 1}),
+    ("expect", {"isotropy": None}),
+    ("expect", {"CONN_i": 0}),
+    ("expect", {"chi": True}),          # True == 1 would pass chi 1
+    ("expect", {"chi": 2.0}),
+    ("expect", {"tangent": "2"}),
+    ("expect", {"gaps": [1, "3"]}),
+    ("expect", {"gaps": 1}),
+    ("expect", {"connectedness": [True, True]}),
+    ("expect", {"connectedness": {"1": "true", "2": True}}),
 ])
 def test_bad_numeric_config_is_a_config_error(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"

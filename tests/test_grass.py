@@ -333,10 +333,12 @@ def test_duality_intertwines_group_action():
 # ------------------------------------------------------------------ tangent: reference loop
 #
 # The tangent check and `reduce` below are the straightforward versions:
-# one fresh `reduce(base * row)` per (sigma power, unknown, row), and a
-# reduction that rebuilds the residual VSeries at every pivot it clears.
-# The package memoizes the products and reduces in place; both must give
-# exactly what these give.
+# one fresh `reduce(base * row)` per (sigma power, unknown, row) over
+# (component, exponent) unknowns, and a reduction that rebuilds the
+# residual VSeries at every pivot it clears.  The package reduces in place
+# and writes its system in sigma-eigen coordinates, once per product:
+# `reduce` must give exactly what this one gives, the tangent check the
+# same value and, mapped back to (component, exponent), the same nullspace.
 
 
 def _reference_reduce(U, v):
@@ -444,8 +446,8 @@ def _reference_tangent_once(U, depth, keys, systems):
     return amb - rank_of_vectors(projected, len(neg_cols), p)
 
 
-TANGENT_CASES = ("y2x5", "y3x4", "y2x6", "genus9", "u_n R", "u_n R p3", "u_n NR",
-                 "random R", "random NR")
+TANGENT_CASES = ("y2x5", "y3x4", "y2x6", "y3x6", "genus9", "u_n R", "u_n R p3",
+                 "u_n NR", "random R", "random NR")
 
 
 @functools.lru_cache(maxsize=None)
@@ -459,6 +461,8 @@ def _tangent_case(name):
         return algebra_point(curve, 18), 6, 3
     if name == "y2x6":   # non-ramified
         return algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 0, 1]), 14), 5, 2
+    if name == "y3x6":   # non-ramified, p = 3: three eigen-classes per exponent
+        return algebra_point(CurveSpec(3, [-1, 0, 0, 0, 0, 0, 1]), 14), 6, 4
     if name == "genus9":
         curve = CurveSpec(3, [1, 2, 0, -1, 0, 0, 0, 3, 0, 0, 1])
         return algebra_point(curve, 30, 40), 18, 9
@@ -476,23 +480,49 @@ def _tangent_case(name):
     return random_point(random.Random(6), Model(3, "NR"), scalar_ring(3)), 3, None
 
 
+def _from_eigen(model, vec):
+    """An eigen-coordinate solution of the package's tangent system in the
+    reference's (component, exponent) coordinates: the unknown (c, e) is
+    the coefficient of z1^e (ramified, c = e mod p) or of z^e w_c with
+    w_c = sum_i xi^(c(i-1)) e_i (non-ramified, unknowns class-major)."""
+    if model.case == "R":
+        return list(vec)
+    p = model.p
+    width = len(vec) // p
+    return [sum((vec[c * width + k] * model.xi_pow(c * (i - 1)) for c in range(p)),
+                Cyclo.zero(p))
+            for i in range(1, p + 1) for k in range(width)]
+
+
+def _same_span(a, b, n, p):
+    return rank_of_vectors(a, n, p) == rank_of_vectors(b, n, p) \
+        == rank_of_vectors(a + b, n, p)
+
+
 @pytest.mark.parametrize("name", TANGENT_CASES)
 def test_tangent_matches_reference_loop(monkeypatch, name):
     U, depth, value = _tangent_case(name)
     want_systems = []
     want = _reference_tangent_once(U, depth, set(), want_systems)
-    systems = []
+    solutions = []
 
     def recording(equations, nunknowns, p):
-        systems.append((equations, nunknowns))
-        return nullspace(equations, nunknowns, p)
+        basis = nullspace(equations, nunknowns, p)
+        solutions.append((basis, nunknowns))
+        return basis
 
     monkeypatch.setattr(grass, "nullspace", recording)
     got = U.tangent_orbit_dim(depth)
     assert type(got) is int and got == want
-    # one system: the same equations, in the same order, not just the same value
-    assert len(systems) == 1
-    assert systems == want_systems
+    # one system, with the same solution space as the reference's, not
+    # just the same value
+    assert len(solutions) == 1
+    basis, n = solutions[0]
+    [(want_equations, want_n)] = want_systems
+    assert n == want_n
+    p = U.model.p
+    mapped = [_from_eigen(U.model, vec) for vec in basis]
+    assert _same_span(mapped, nullspace(want_equations, n, p), n, p)
     if value is not None:
         assert want == value
 

@@ -73,3 +73,23 @@ def test_a_traced_identity_run_counts_one_dual_per_point():
     assert names.count("grass.orthogonal") == 2
     # the flow-depth retries evaluated identities more often than once a check
     assert names.count("baker.residue_identity_eval") > 5
+
+
+def test_a_traced_tangent_check_makes_one_solve_and_one_rank():
+    # `linalg.nullspace.per_tangent_check` and the benchmark self-test's
+    # stressed tangent metrics read these spans
+    t = _tracer()
+    cfg = {"curve": {"p": 2, "f": ["-1", "0", "0", "0", "0", "1"]},
+           "window": [-16, 26], "tangent_depth": 6, "checks": ["tangent"]}
+    try:
+        t.install()
+        report = cli.run(cfg)
+    finally:
+        t.uninstall()
+    assert report["checks"]["tangent"]["value"] == 2
+    names = {sid: name for sid, name, *_ in t.spans}
+    parents = {sid: parent for sid, _, _, _, _, parent, _, _ in t.spans}
+    for target in ("linalg.nullspace", "linalg.rank_of_vectors"):
+        spans = [sid for sid, name in names.items() if name == target]
+        assert len(spans) == 1
+        assert names[parents[spans[0]]] == "grass.tangent_orbit_dim"
