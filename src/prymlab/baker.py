@@ -96,15 +96,9 @@ class BAFunction:
         self.big_cell = big_cell
 
 
-def _flow_coords_dict(coords):
-    from .flows import FlowCoords
-    if isinstance(coords, FlowCoords):
-        return coords.coords
-    return coords
-
-
 def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> BAFunction:
-    """Wave family of U with flow coordinates `coords`.
+    """Wave family of U with flow coordinates `coords`, a dict of flow
+    index (j, or (i, j) in the non-ramified model) -> jet coefficient.
 
     With `require_big_cell` (the default) a point that is not transverse
     to v_m V+ raises `BigCellError`; passing False falls back to the
@@ -113,14 +107,13 @@ def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> B
     with the extension that would supply them.
     """
     model, ring = U.model, U.ring
-    cdict = _flow_coords_dict(coords)
-    ring2 = next((c.ring for c in cdict.values() if hasattr(c, "ring")), None)
+    ring2 = next((c.ring for c in coords.values() if hasattr(c, "ring")), None)
     if ring2 is not None and not ring.compatible(ring2):
         U = U.lifted(ring2)
         ring = ring2
     m = U.index_chi()
     zone = _zone(model, m)
-    E = v_over_z(model, ring, m) * flow_exponential(model, ring, cdict)
+    E = v_over_z(model, ring, m) * flow_exponential(model, ring, coords)
     residual = U.certified_residual(E, "wave solve")
     u = E - residual
     # big cell: U cap v_m V+ = 0, and the residual lives in v_m V+ (no
@@ -141,8 +134,10 @@ def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> B
 
 def adjoint_baker(U: GrassPoint, coords, *,
                   require_big_cell: bool = True) -> BAFunction:
-    """Wave family of the orthogonal point with negated flow times."""
-    neg = {k: -c for k, c in _flow_coords_dict(coords).items()}
+    """Wave family of the orthogonal point with negated flow times;
+    `coords` is a dict of flow index -> jet coefficient, as for
+    `baker_akhiezer`."""
+    neg = {k: -c for k, c in coords.items()}
     return baker_akhiezer(U.dual(), neg, require_big_cell=require_big_cell)
 
 

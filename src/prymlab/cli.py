@@ -1,6 +1,6 @@
-"""Command-line driver: curve ingestion, check suites, sweeps, JSON reports.
+"""Command-line driver: curve ingestion, check suites, JSON reports.
 
-Subcommands: check, sweep, curve-info, identity, prym-search, selftest.
+Subcommands: check, curve-info, identity, prym-search.
 Exit codes: 0 all pass, 1 any fail, 2 window-insufficient, 3 config error.
 Reports are JSON with rationals rendered as "a/b" strings and cyclotomic
 numbers as coefficient arrays; re-running the embedded config reproduces
@@ -297,42 +297,6 @@ def exit_code(report: dict) -> int:
     return {"pass": 0, "fail": 1, "window-insufficient": 2}[report["verdict"]]
 
 
-def sweep(cfg: dict, steps: int = 3, window_step: int = 4, cap_step: int = 1) -> dict:
-    """Run the check suite over a monotone window/cap schedule."""
-    cfg = parse_config(cfg)
-    if steps < 1:
-        raise ConfigError("a sweep needs at least one step")
-    series = []
-    for k in range(steps):
-        sub = json.loads(json.dumps(cfg))
-        lo, hi = cfg["window"]
-        sub["window"] = [lo - window_step * k, hi + window_step * k]
-        sub["jet_cap"] = cfg["jet_cap"] + cap_step * k
-        sub["tangent_depth"] = cfg["tangent_depth"] + k
-        series.append(run(sub))
-    summary = {}
-    for name in series[0]["checks"]:
-        vals = [json.dumps(jsonable({k: v for k, v in rep["checks"][name].items()
-                                     if k in ("verdict", "value")}), sort_keys=True)
-                for rep in series]
-        first_stable = None
-        for idx in range(len(vals)):
-            if all(v == vals[idx] for v in vals[idx:]):
-                first_stable = idx
-                break
-        summary[name] = {"first_stable_step": first_stable,
-                         "final": series[-1]["checks"][name].get("value")}
-        flips = [
-            (vals[i] != vals[i + 1])
-            and series[i]["checks"][name]["verdict"] in ("pass", "fail")
-            and series[i + 1]["checks"][name]["verdict"] in ("pass", "fail")
-            and series[i]["checks"][name]["verdict"] != series[i + 1]["checks"][name]["verdict"]
-            for i in range(len(vals) - 1)
-        ]
-        summary[name]["verdict_flip"] = any(flips)
-    return {"steps": series, "stabilization": summary}
-
-
 # ----------------------------------------------------------------- searches
 
 
@@ -350,103 +314,6 @@ def prym_search_u_n(p: int, case: str, n: int, start: int = 2,
         if ok:
             return {"n": n, "threshold_N": big_n, "trace": tried}
     return {"n": n, "threshold_N": None, "trace": tried}
-
-
-def prym_search_constants(cfg: dict, constants=(1, 2, 3, -1)) -> dict:
-    """Isotropy of a curve point under constant rescalings of the
-    trivialization.  The wedge form scales by the p-th power of the
-    constant, so the verdict is invariant; the scan documents that."""
-    cfg = parse_config(cfg)
-    point = build_point(cfg)
-    out = []
-    for c in constants:
-        k = Cyclo.rational(point.model.p, Fraction(c))
-        scaled = point._with_rows({n: r.scale(k) for n, r in point.rows.items()})
-        try:
-            ok, witness = scaled.isotropy_check()
-            out.append({"constant": str(c), "isotropic": ok})
-        except WindowError as e:
-            out.append({"constant": str(c), "verdict": "window-insufficient",
-                        "detail": str(e)})
-    verdicts = {o.get("isotropic") for o in out}
-    return {"scan": out, "invariant_under_rescaling": len(verdicts) == 1}
-
-
-# ----------------------------------------------------------------- selftest
-
-
-def selftest(seed: int = 0) -> dict:
-    """Quick property suites over random synthetic data."""
-    import random
-
-    from .flows import FlowCoords, jac_coord_map, prop_prym_report
-    from .scalars import power_sum, root_product
-
-    rng = random.Random(seed)
-    results = {}
-    ok = all(root_product(p) == Cyclo.rational(p, p) for p in (2, 3, 5, 7))
-    ok = ok and all(
-        power_sum(p, j) == Cyclo.rational(p, p if j % p == 0 else 0)
-        for p in (2, 3, 5) for j in range(-20, 21))
-    results["root_of_unity_identities"] = ok
-    ok = True
-    for p in (2, 3, 5):
-        for case in ("R", "NR"):
-            model = Model(p, case)
-            ring = JetRing.with_blocks(p, {"t": 2}, 2)
-            coords = {}
-            for j in (1, 2):
-                for i in range(1, model.ncomp + 1):
-                    key = j if case == "R" else (i, j)
-                    coords[key] = ring.var(rng.choice(ring.names),
-                                           rng.randint(-3, 3))
-            c = FlowCoords(model, ring, "cover", coords)
-            g = c.element()
-            ok = ok and g.sigma().comps == jac_coord_map("sigma_star", c).element().comps
-            ok = ok and prop_prym_report(c)["ok"]
-    results["coordinate_laws"] = ok
-    ok = True
-    for case, p in (("R", 2), ("NR", 2), ("R", 3)):
-        model = Model(p, case)
-        ring = JetRing.scalar(p)
-        for _ in range(5):
-            U = _random_point(rng, model, ring)
-            DD = U.dual().dual()
-            ok = ok and _frames_agree(U, DD)
-            chi, chid = U.index_chi(), U.dual().index_chi()
-            ok = ok and (chid == (1 - chi - p if case == "R" else -chi))
-    results["orthogonal_involution"] = ok
-    results["ok"] = all(results.values())
-    return results
-
-
-def _random_point(rng, model, ring, span=6, nrows=3):
-    tail_shift = rng.randint(-2, 0)
-    tail = tuple(tail_shift for _ in range(model.ncomp))
-    edge = min(model.pos(i + 1, t) for i, t in enumerate(tail))
-    positions = list(range(edge, edge + span * model.p))
-    pivots = sorted(rng.sample(positions, min(nrows, len(positions))))
-    vectors = []
-    for piv in pivots:
-        data = {piv: ring.one()}
-        for q in positions:
-            if q > piv and q not in pivots and rng.random() < 0.4:
-                c = Cyclo(model.p, [Fraction(rng.randint(-4, 4))
-                                    for _ in range(model.p - 1)])
-                if not c.is_zero():
-                    data[q] = ring.const(c)
-        vectors.append(VSeries.from_positions(model, ring, data))
-    return build_frame(model, ring, vectors, tail=tail)
-
-
-def _frames_agree(F, G):
-    lo = max(F.stored_floor(), G.stored_floor())
-    hi = max(F.max_pivot_bound, G.max_pivot_bound) + 1
-    for n in range(lo, hi + 1):
-        if F.is_pivot(n) != G.is_pivot(n):
-            return False
-    return all(G.membership(r) for r in F.rows.values()) and \
-        all(F.membership(r) for r in G.rows.values())
 
 
 # ----------------------------------------------------------------- entry point
@@ -501,31 +368,20 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("check", parents=[common],
                    help="run the configured check suite")
-    sp = sub.add_parser("sweep", parents=[common],
-                        help="re-run under a growing window/cap schedule")
-    sp.add_argument("--steps", type=int, default=3)
-    sp.add_argument("--window-step", type=int, default=4)
-    sp.add_argument("--cap-step", type=int, default=1)
     ci = sub.add_parser("curve-info", parents=[common],
                         help="genus, gaps and degree bookkeeping")
     ci.add_argument("--p", type=int)
     ci.add_argument("--f", help="comma-separated coefficients, constant first")
     idp = sub.add_parser("identity", parents=[common],
                          help="evaluate a single residue identity")
-    idp.add_argument("tag", choices=[t for t in IDENTITY_TAGS] + [
-        "CONN_%d" % k for k in range(1, 8)])
+    idp.add_argument("tag", help="identity tag, e.g. MOD_R_3 or CONN_<k>; "
+                     "validated like a check name in the config")
     ps = sub.add_parser("prym-search", parents=[common],
-                        help="scan N for the isotropic witness family, "
-                             "or constants for a curve point")
+                        help="scan N for the isotropic witness family")
     ps.add_argument("--p", type=int, default=2)
     ps.add_argument("--case", choices=["R", "NR"], default="R")
     ps.add_argument("--n", type=int, default=1)
     ps.add_argument("--start", type=int, default=2)
-    ps.add_argument("--constants", action="store_true",
-                    help="scan constant rescalings of the configured point")
-    st = sub.add_parser("selftest", parents=[common],
-                        help="run the bundled property suites")
-    st.add_argument("--seed", type=int, default=0)
     try:
         ns = ap.parse_args(argv)
         args = argparse.Namespace(config=None, window=None, jet_cap=None, out=None)
@@ -535,12 +391,6 @@ def main(argv=None) -> int:
             report = run(_load_config(args))
             _emit(report, args.out)
             return exit_code(report)
-        if args.command == "sweep":
-            result = sweep(_load_config(args), args.steps, args.window_step,
-                           args.cap_step)
-            _emit(result, args.out)
-            last = result["steps"][-1]
-            return exit_code(last)
         if args.command == "curve-info":
             if args.p and args.f:
                 curve = _curve_from_config({"curve": {"p": args.p, "f": args.f.split(",")}})
@@ -556,19 +406,12 @@ def main(argv=None) -> int:
             _emit(report, args.out)
             return exit_code(report)
         if args.command == "prym-search":
-            if args.constants:
-                result = prym_search_constants(_load_config(args))
-            else:
-                try:
-                    result = prym_search_u_n(args.p, args.case, args.n, args.start)
-                except ValueError as e:
-                    raise ConfigError("bad witness family: %s" % e)
+            try:
+                result = prym_search_u_n(args.p, args.case, args.n, args.start)
+            except ValueError as e:
+                raise ConfigError("bad witness family: %s" % e)
             _emit(result, args.out)
             return 0
-        if args.command == "selftest":
-            result = selftest(args.seed)
-            _emit(result, args.out)
-            return 0 if result["ok"] else 1
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 3

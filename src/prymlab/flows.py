@@ -69,7 +69,8 @@ class FlowCoords:
                           {k: v * c for k, v in self.coords.items()})
 
     def add(self, other: "FlowCoords") -> "FlowCoords":
-        assert self.kind == other.kind
+        if self.kind != other.kind:
+            raise ValueError("cannot add %s and %s coordinates" % (self.kind, other.kind))
         out = dict(self.coords)
         for k, v in other.coords.items():
             out[k] = out.get(k, self.ring.zero()) + v

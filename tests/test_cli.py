@@ -9,11 +9,8 @@ from prymlab.cli import (
     exit_code,
     main,
     parse_config,
-    prym_search_constants,
     prym_search_u_n,
     run,
-    selftest,
-    sweep,
 )
 from prymlab.errors import ConfigError, WindowError
 from prymlab.grass import GrassPoint
@@ -101,27 +98,6 @@ def test_u_n_search():
     assert result_nr["threshold_N"] == -1
 
 
-def test_constant_rescaling_scan():
-    cfg = y2x5_config(checks=["chi"])
-    res = prym_search_constants(cfg)
-    assert res["invariant_under_rescaling"]
-
-
-def test_sweep_stabilizes():
-    cfg = y2x5_config(checks=["chi", "tangent"], window=[-16, 26])
-    result = sweep(cfg, steps=2, window_step=2, cap_step=0)
-    summ = result["stabilization"]
-    assert summ["chi"]["first_stable_step"] == 0
-    assert not summ["chi"]["verdict_flip"]
-    assert summ["tangent"]["first_stable_step"] == 0
-    assert summ["tangent"]["final"] == 2
-
-
-def test_selftest():
-    result = selftest(0)
-    assert result["ok"]
-
-
 def test_main_entry(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(y2x5_config(checks=["chi", "gaps"])))
@@ -164,6 +140,29 @@ def test_console_script_help():
     assert "prym-search" in proc.stdout
 
 
+def _readme_subcommands():
+    """The subcommand of each `prymlab <subcommand>` line of README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1] for line in block.splitlines() if line.startswith("prymlab ")]
+
+
+def test_readme_cli_block_matches_the_parser(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    listed = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert sorted(set(_readme_subcommands())) == sorted(listed)
+    for sub in listed:
+        with pytest.raises(SystemExit) as stop:
+            main([sub, "--help"])
+        assert stop.value.code == 0
+    capsys.readouterr()
+    # deleted run modes are usage errors
+    for argv in (["sweep"], ["selftest"], ["prym-search", "--constants"]):
+        _one_line_config_error(capsys, main(argv))
+
+
 def _one_line_config_error(capsys, code):
     err = capsys.readouterr().err
     assert code == 3
@@ -195,6 +194,7 @@ def test_usage_error_is_a_config_error(tmp_path, capsys):
     _one_line_config_error(
         capsys, main(["--config", str(cfg_path), "--parallel", "2", "check"]))
     _one_line_config_error(capsys, main(["no-such-command"]))
+    # `sweep` is no longer a subcommand: an unknown-command usage error
     _one_line_config_error(
         capsys, main(["--config", str(cfg_path), "sweep", "--steps", "0"]))
 
@@ -341,6 +341,18 @@ def test_identity_subcommand_checks_the_conn_range(tmp_path, capsys):
     _one_line_config_error(capsys, main(["--config", path, "identity", "CONN_7"]))
     assert main(["--config", path, "--out", str(tmp_path / "r.json"),
                  "identity", "CONN_2"]) == 0
+
+
+def test_identity_subcommand_takes_every_conn_of_the_model(tmp_path, capsys):
+    # p = 11: the parser once listed only CONN_1 .. CONN_7 and refused CONN_11
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"p": 11, "case": "NR"}, "point": {"type": "lines"},
+        "jet_cap": 0, "flow_depth": 1, "checks": ["chi"]}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "r.json"),
+                 "identity", "CONN_11"]) == 0
+    _one_line_config_error(capsys, main(["--config", str(cfg_path), "identity",
+                                         "NO_SUCH_TAG"]))
 
 
 @pytest.mark.parametrize("generators", [

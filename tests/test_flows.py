@@ -70,6 +70,18 @@ def test_pullback_ramified_example():
     assert c.get(1).is_zero()
 
 
+def test_add_refuses_mixed_kinds():
+    # a cover plus a base coordinate set has no meaning; under `python -O`
+    # an assert let it through as a cover
+    m = Model(2, "R")
+    R = JetRing(2, ("t1", "t2"), cap=2)
+    c = FlowCoords(m, R, "cover", {1: R.var("t1")})
+    b = FlowCoords(m, R, "base", {1: R.var("t2")})
+    with pytest.raises(ValueError, match="cover and base"):
+        c.add(b)
+    assert c.add(c).coords == {1: R.var("t1") * 2}
+
+
 @pytest.mark.parametrize("case,p", [("R", 2), ("R", 3), ("R", 5), ("NR", 2), ("NR", 3)])
 def test_flow_exponential_intertwines_coordinate_maps(case, p):
     rng = random.Random(60 + p)
