@@ -10,7 +10,7 @@ from .baker import (
     baker_akhiezer,
     residue_identity_eval,
 )
-from .errors import BigCellError, ConfigError, FrameError, PrymlabError, WindowError
+from .errors import ConfigError, FrameError, PrymlabError, WindowError
 from .flows import (
     FlowCoords,
     PiElement,

@@ -17,12 +17,14 @@ within the window, and every identity verdict below is insensitive to
 the choice (the identities are multilinear in generating families).
 
 Identity tags follow the CLI names: SIGMA_R, SIGMA_NR, BKP_GEN,
-MOD_R_1..3, MOD_NR_1..3, CONN_i.
+MOD_R_1..3, MOD_NR_1..3, CONN_i and CONN_<k>; `identity` decides each.
 """
 
 from __future__ import annotations
 
-from .errors import BigCellError
+from typing import Callable, NamedTuple
+
+from .errors import WindowError
 from .grass import GrassPoint
 from .jets import JetRing
 from .vseries import (
@@ -32,13 +34,6 @@ from .vseries import (
     flow_exponential,
     residue_pairing,
     wedge_residue,
-)
-
-IDENTITY_TAGS = (
-    "SIGMA_R", "SIGMA_NR", "BKP_GEN",
-    "MOD_R_1", "MOD_R_2", "MOD_R_3",
-    "MOD_NR_1", "MOD_NR_2", "MOD_NR_3",
-    "CONN_i",
 )
 
 
@@ -84,27 +79,29 @@ def _kernel_rows(U: GrassPoint, m: int) -> list:
     return rows
 
 
-class BAFunction:
-    """Wave family of a point: u(t) in U tensor R and psi = (z_./v_m) u."""
+class BAFunction(NamedTuple):
+    """Wave family of a point: u(t) in U tensor R, whether the point is on
+    the big cell, and `zone`, the exponents of v_m."""
 
-    __slots__ = ("ring", "u", "psi", "big_cell")
+    ring: JetRing
+    u: VSeries
+    big_cell: bool
+    zone: list
 
-    def __init__(self, ring, u, psi, big_cell):
-        self.ring = ring
-        self.u = u
-        self.psi = psi
-        self.big_cell = big_cell
+    @property
+    def psi(self) -> VSeries:
+        """(z_./v_m) u, via the exact inverse of the monomial vector."""
+        return _monomials(self.u.model, self.ring, [1 - e for e in self.zone]) * self.u
 
 
-def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> BAFunction:
+def baker_akhiezer(U: GrassPoint, coords) -> BAFunction:
     """Wave family of U with flow coordinates `coords`, a dict of flow
     index (j, or (i, j) in the non-ramified model) -> jet coefficient.
 
-    With `require_big_cell` (the default) a point that is not transverse
-    to v_m V+ raises `BigCellError`; passing False falls back to the
-    frame-complement normalization described in the module docstring.
-    A solve that needs rows below U's stored window raises `WindowError`
-    with the extension that would supply them.
+    Off the big cell the family is the frame-complement normalization
+    described in the module docstring, and `big_cell` is False.  A solve
+    that needs rows below U's stored window raises `WindowError` with the
+    extension that would supply them.
     """
     model, ring = U.model, U.ring
     ring2 = next((c.ring for c in coords.values() if hasattr(c, "ring")), None)
@@ -118,27 +115,16 @@ def baker_akhiezer(U: GrassPoint, coords, *, require_big_cell: bool = True) -> B
     u = E - residual
     # big cell: U cap v_m V+ = 0, and the residual lives in v_m V+ (no
     # obstruction at deep gap positions)
-    kernel = _kernel_rows(U, m)
-    obstructed = [n for n, c in residual.pos_items()
-                  if not _in_zone(model, zone, n) and not c.is_zero()]
-    big_cell = not kernel and not obstructed
-    if require_big_cell and not big_cell:
-        raise BigCellError(
-            "point is not transverse to v_%d V+ (kernel rows at %s, "
-            "obstructed positions %s)"
-            % (m, sorted(r.leading_position() for r in kernel), sorted(obstructed)))
-    # psi = (z_./v_m) u, via the exact inverse of the monomial vector
-    psi = _monomials(model, ring, [1 - e for e in zone]) * u
-    return BAFunction(ring, u, psi, big_cell)
+    big_cell = not _kernel_rows(U, m) and all(
+        _in_zone(model, zone, n) or c.is_zero() for n, c in residual.pos_items())
+    return BAFunction(ring, u, big_cell, zone)
 
 
-def adjoint_baker(U: GrassPoint, coords, *,
-                  require_big_cell: bool = True) -> BAFunction:
+def adjoint_baker(U: GrassPoint, coords) -> BAFunction:
     """Wave family of the orthogonal point with negated flow times;
     `coords` is a dict of flow index -> jet coefficient, as for
     `baker_akhiezer`."""
-    neg = {k: -c for k, c in coords.items()}
-    return baker_akhiezer(U.dual(), neg, require_big_cell=require_big_cell)
+    return baker_akhiezer(U.dual(), {k: -c for k, c in coords.items()})
 
 
 # ------------------------------------------------------------------ jet blocks
@@ -169,31 +155,33 @@ def identity_ring(model: Model, labels, depth: int, cap: int,
     return ring, blocks
 
 
-def _families(sources, depth: int, cap: int) -> tuple:
-    """Wave families of (point, label, flow sign) sources in one jet ring
-    of total cap len(sources) * cap; returns (families, big-cell flags).
+def _families(points: dict, spec, depth: int, cap: int) -> tuple:
+    """Wave families of the points named in `spec` ("U", "sigma", or the
+    "dual" with negated flow times), family i on block `_labels`[i] of one
+    jet ring of total cap len(spec) * cap; returns (families, big-cell
+    flag of the first "psi" and "psi*" family).
 
     A family off the big cell is completed by its kernel-zone rows, one
     fresh variable `<label>x<k>` each (none at cap 0); the identities are
     multilinear in generating families, so this changes no verdict.
     """
-    kernels = [_kernel_rows(point, point.index_chi()) for point, _, _ in sources]
-    ring, blocks = identity_ring(
-        sources[0][0].model, [label for _, label, _ in sources], depth,
-        len(sources) * cap, {s[1]: len(k) for s, k in zip(sources, kernels)})
-    lifts, fams, cells = {}, [], []
-    for (point, label, sign), kernel in zip(sources, kernels):
-        if id(point) not in lifts:
-            lifts[id(point)] = point.lifted(ring)
-        coords = blocks[label] if sign > 0 else {k: -c for k, c in blocks[label].items()}
-        ba = baker_akhiezer(lifts[id(point)], coords, require_big_cell=False)
+    labels = _labels(len(spec))
+    kernels = [_kernel_rows(points[name], points[name].index_chi()) for name in spec]
+    ring, blocks = identity_ring(points[spec[0]].model, labels, depth, len(spec) * cap,
+                                 {label: len(k) for label, k in zip(labels, kernels)})
+    lifts, fams, big_cell = {}, [], {}
+    for name, label, kernel in zip(spec, labels, kernels):
+        if name not in lifts:
+            lifts[name] = points[name].lifted(ring)
+        coords = blocks[label] if name != "dual" else {k: -c for k, c in blocks[label].items()}
+        ba = baker_akhiezer(lifts[name], coords)
         fam = ba.u
         if not ba.big_cell and cap > 0:
             for k, row in enumerate(kernel, 1):
                 fam = fam + row.lift(ring).scale(ring.var("%sx%d" % (label, k)))
         fams.append(fam)
-        cells.append(ba.big_cell)
-    return fams, cells
+        big_cell.setdefault("psi*" if name == "dual" else "psi", ba.big_cell)
+    return fams, big_cell
 
 
 class IdentityValue:
@@ -220,77 +208,112 @@ class IdentityValue:
         return self.value.to_text()
 
 
-def identity_case(tag: str) -> str | None:
-    """The model case ("R" or "NR") an identity tag needs; None for both."""
-    if tag.startswith("CONN_") or tag.endswith("_NR") or "_NR_" in tag:
-        return "NR"
-    return "R" if tag.endswith("_R") or "_R_" in tag else None
+# block labels are letters but x, so no flow variable <label><digits> or
+# kernel variable <label>x<k> of one label is a name of another
+_LETTERS = "tsuwvabcdefghijklmnopqryz"
 
 
-def identity_key(tag: str) -> str:
-    """The tag whose evaluation `tag` shares: MOD_*_1 is the SIGMA_*
-    pairing; every other tag is its own."""
-    return {"MOD_R_1": "SIGMA_R", "MOD_NR_1": "SIGMA_NR"}.get(tag, tag)
+def _labels(n: int) -> list:
+    """n distinct block labels: t, s, u, w, v, ..., z, then tt, ss, ..."""
+    return [_LETTERS[k % len(_LETTERS)] * (k // len(_LETTERS) + 1) for k in range(n)]
 
 
-def conn_components(tag: str, p: int) -> tuple:
-    """The components CONN_i (all of them) or CONN_<k> (k, 1 <= k <= p)
-    pairs with; empty for any other tag."""
-    if tag == "CONN_i":
-        return tuple(range(1, p + 1))
-    return tuple(k for k in range(1, p + 1) if tag == "CONN_%d" % k)
+def _conn(comps=None) -> Callable:
+    """The CONN step: the dual family paired with e_i, i in `comps` (all if None)."""
+    return lambda f: {i: residue_pairing(VSeries.unit_vector(f[0].model, f[0].ring, i), f[0])
+                      for i in comps or range(1, f[0].model.p + 1)}
 
 
-# each identity's families, as (point, label, flow sign) with the point U,
-# its sigma image or the dual, and the step that combines them
-_DUAL_T = (("dual", "t", -1),)
-_IDENTITIES = {
-    "SIGMA": ((("sigma", "t", 1), ("dual", "s", -1)),
-              lambda f, comps: residue_pairing(f[0], f[1])),
-    "MOD_2": ((("U", "t", 1), ("U", "s", 1), ("dual", "u", -1)),
-              lambda f, comps: residue_pairing(f[0] * f[1], f[2])),
-    "MOD_3": (_DUAL_T, lambda f, comps: residue_pairing(
-        VSeries.one(f[0].model, f[0].ring), f[0])),
-    "CONN": (_DUAL_T, lambda f, comps: {i: residue_pairing(
-        VSeries.unit_vector(f[0].model, f[0].ring, i), f[0]) for i in comps}),
-    "BKP_GEN": (tuple(("U", label, 1) for label in "tsuwv"),
-                lambda f, comps: wedge_residue(f)),
+class Identity(NamedTuple):
+    """A residue identity: the model `case` it needs (None for both), the
+    `key` of the evaluation it shares, `families(p)` as point names for
+    `_families`, the step that `combine`s them, and the default `expect`:
+    True for a law, None for the CONN dichotomy (nonzero means connected)."""
+
+    case: str | None
+    key: str
+    families: Callable
+    combine: Callable
+    expect: bool | None = True
+
+
+_SIGMA = (lambda p: ("sigma", "dual"), lambda f: residue_pairing(f[0], f[1]))
+_MOD_2 = (lambda p: ("U", "U", "dual"), lambda f: residue_pairing(f[0] * f[1], f[2]))
+_MOD_3 = (lambda p: ("dual",),
+          lambda f: residue_pairing(VSeries.one(f[0].model, f[0].ring), f[0]))
+# MOD_*_1 is the SIGMA_* pairing: one key.  Each step looks its vseries
+# function up when called, so a wrapper on this module's name sees the call
+IDENTITIES = {
+    "SIGMA_R": Identity("R", "SIGMA_R", *_SIGMA),
+    "SIGMA_NR": Identity("NR", "SIGMA_NR", *_SIGMA),
+    "BKP_GEN": Identity(None, "BKP_GEN", lambda p: ("U",) * p, lambda f: wedge_residue(f)),
+    "MOD_R_1": Identity("R", "SIGMA_R", *_SIGMA),
+    "MOD_R_2": Identity("R", "MOD_R_2", *_MOD_2),
+    "MOD_R_3": Identity("R", "MOD_R_3", *_MOD_3),
+    "MOD_NR_1": Identity("NR", "SIGMA_NR", *_SIGMA),
+    "MOD_NR_2": Identity("NR", "MOD_NR_2", *_MOD_2),
+    "MOD_NR_3": Identity("NR", "MOD_NR_3", *_MOD_3),
+    "CONN_i": Identity("NR", "CONN_i", _MOD_3[0], _conn(), None),
 }
+
+
+def identity(tag: str, model: Model | None = None) -> Identity:
+    """The entry of identity `tag`; CONN_<k> is CONN_i on component k alone.
+
+    Raises ValueError for an unknown tag and, given the point's model,
+    for a tag of the other model case or a CONN_<k> with k outside 1..p.
+    """
+    entry = IDENTITIES.get(tag)
+    if entry is None and not tag.startswith("CONN_"):
+        raise ValueError("unknown identity tag %r" % tag)
+    entry = entry or IDENTITIES["CONN_i"]._replace(key=tag)
+    if model is None:
+        return entry
+    if entry.case not in (None, model.case):
+        raise ValueError("identity %s needs the %s model; this point is %s"
+                         % (tag, entry.case, model.case))
+    if tag not in IDENTITIES:
+        k = next((k for k in range(1, model.p + 1) if tag == "CONN_%d" % k), None)
+        if k is None:
+            raise ValueError("identity %s names no component (CONN_i or CONN_1 .. "
+                             "CONN_%d)" % (tag, model.p))
+        entry = entry._replace(combine=_conn((k,)))
+    return entry
 
 
 def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
                           cap: int = 1) -> IdentityValue:
-    """Evaluate one residue identity on U, exactly, at the given jet cap.
-
-    `depth` is the number of flow indices per independent time block;
-    `cap` is the per-block truncation degree (the shared total-degree cap
-    is cap * number-of-blocks).  The value is zero iff the identity holds
-    through the tested truncation.  U builds its dual and its sigma image
-    once (`GrassPoint.dual`, `sigma_point`), so evaluations of several
-    tags and depths on one point share them; BKP_GEN uses neither.
+    """Evaluate one residue identity on U, exactly, with `depth` flow
+    indices per time block and truncation degree `cap` per block.  The
+    value is zero iff the identity holds through that truncation.  U keeps
+    its dual and sigma image, so all evaluations on U share them.
     """
-    model = U.model
-    want = identity_case(tag)
-    if want is not None and model.case != want:
-        raise ValueError("identity %s applies to the %s model" % (tag, want))
-    comps = conn_components(tag, model.p)
-    if tag not in IDENTITY_TAGS and not comps:
-        raise ValueError("unknown identity tag %r" % tag)
-    entry = "CONN" if comps else identity_key(tag).replace("_NR", "").replace("_R", "")
-    spec, combine = _IDENTITIES[entry]
-    if entry == "BKP_GEN":
-        spec = spec[:model.p]
-        points = {"U": U}
-    else:
-        points = {"U": U, "dual": U.dual()}
-    if entry == "SIGMA":
-        points["sigma"] = U.sigma_point()
-    sources = [(points[name], label, sign) for name, label, sign in spec]
-    fams, cells = _families(sources, depth, cap)
-    big_cell = {}
-    for (_, _, sign), cell in zip(sources, cells):
-        big_cell.setdefault("psi" if sign > 0 else "psi*", cell)
-    return IdentityValue(combine(fams, comps), big_cell)
+    entry = identity(tag, U.model)
+    spec = entry.families(U.model.p)
+    points = {name: build() for name, build in (
+        ("U", lambda: U), ("dual", U.dual), ("sigma", U.sigma_point)) if name in spec}
+    fams, big_cell = _families(points, spec, depth, cap)
+    return IdentityValue(entry.combine(fams), big_cell)
+
+
+def certified_identity(tag: str, U: GrassPoint, depth: int, cap: int) -> tuple:
+    """(value, flow depth) of identity `tag` at the largest flow depth up to
+    `depth` that U's window certifies; U keeps it under (evaluation key,
+    depth, cap), so SIGMA_* and MOD_*_1 are searched once.  If no depth
+    certifies, the `WindowError` suggests the window that certifies 1."""
+    def deepest():
+        for d in range(depth, 1, -1):
+            try:
+                return residue_identity_eval(tag, U, depth=d, cap=cap), d
+            except WindowError:
+                pass
+        return residue_identity_eval(tag, U, depth=1, cap=cap), 1
+
+    try:
+        return U.once((identity(tag, U.model).key, depth, cap), deepest)
+    except WindowError as e:
+        raise WindowError("identity %s not certifiable at any flow depth up to %d "
+                          "in this window" % (tag, depth), suggest=e.suggest) from None
 
 
 def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:
@@ -305,7 +328,7 @@ def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:
     model = U.model
     ring, blocks = identity_ring(model, ("t",), depth, cap)
     UL = U.lifted(ring)
-    lhs = baker_akhiezer(UL.sigma_point(), blocks["t"], require_big_cell=False)
+    lhs = baker_akhiezer(UL.sigma_point(), blocks["t"])
     # inverse sigma* on coordinates
     tpp = {}
     for key, var in blocks["t"].items():

@@ -15,13 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .baker import (
-    IDENTITY_TAGS,
-    conn_components,
-    identity_case,
-    identity_key,
-    residue_identity_eval,
-)
+from .baker import IDENTITIES, certified_identity, identity
 from .errors import ConfigError, FrameError, PrymlabError, WindowError
 from .grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from .jets import JetRing
@@ -82,11 +76,10 @@ def parse_config(obj: dict) -> dict:
     checks = cfg.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ConfigError("config needs a nonempty 'checks' list")
-    known = tuple(CHECKS) + IDENTITY_TAGS
     for name in checks:
-        if not isinstance(name, str) or (
-                name not in known and not name.startswith("CONN_")):
-            raise ConfigError("unknown check %r (known: %s)" % (name, ", ".join(known)))
+        if not isinstance(name, str) or not _known(name):
+            raise ConfigError("unknown check %r (known: %s)"
+                              % (name, ", ".join(tuple(CHECKS) + tuple(IDENTITIES))))
     for key in ("curve", "point", "expect"):
         if cfg.get(key) is not None and not isinstance(cfg[key], dict):
             raise ConfigError("%s must be a JSON object" % key)
@@ -189,7 +182,7 @@ def _tangent(point: GrassPoint, cfg: dict, out: dict):
 
 # check name -> (phase, default expectation, evaluate(point, cfg, report
 # entry) -> value); a None expectation passes any value.  Checks run by
-# phase; the residue identities (IDENTITY_TAGS, CONN_<k>) are phase 2.
+# phase; every residue identity is a phase-2 row (`_row`).
 CHECKS = {
     "chi": (0, None, lambda point, cfg, out: point.index_chi()),
     "gaps": (0, None, lambda point, cfg, out: point.gap_orders()),
@@ -202,57 +195,48 @@ CHECKS = {
 }
 
 
-def _identity_at_depths(tag: str, point: GrassPoint, depth: int, cap: int):
-    """(value, flow depth) at the largest flow depth up to `depth` that the
-    window certifies; (None, None) if there is none."""
-    for d in range(depth, 0, -1):
-        try:
-            return residue_identity_eval(tag, point, depth=d, cap=cap), d
-        except WindowError:
-            continue
-    return None, None
+def _known(name: str) -> bool:
+    """Whether `name` is a check or an identity tag, whatever the model."""
+    try:
+        return name in CHECKS or identity(name) is not None
+    except ValueError:
+        return False
 
 
-def run_check(name: str, point: GrassPoint, cfg: dict, shared: dict) -> dict:
-    """One check's report entry.  `shared` maps identity_key(tag) to the
-    (value, flow depth) of an identity evaluated earlier in the run."""
-    cap = cfg["jet_cap"]
+def _row(name: str, point: GrassPoint) -> tuple:
+    """The row of check `name`.  An identity's value is "0" or its witness
+    at the deepest certified flow depth, and its verdict is decided on
+    whether it vanishes; ValueError if it does not apply to the point."""
+    if name in CHECKS:
+        return CHECKS[name]
+
+    def evaluate(point, cfg, out):
+        val, used = certified_identity(name, point, cfg["flow_depth"], cfg["jet_cap"])
+        zero = val.is_zero()
+        out.update(value="0" if zero else val.witness(), big_cell=val.big_cell,
+                   flow_depth=used, zero=zero)
+        return zero
+
+    return 2, identity(name, point.model).expect, evaluate
+
+
+def run_check(name: str, point: GrassPoint, cfg: dict) -> dict:
+    """One check's report entry."""
     out = {"window": [point.stored_floor(), point.phi
                       if point.phi != float("inf") else None],
-           "cap": cap}
+           "cap": cfg["jet_cap"]}
     expect = (cfg.get("expect") or {}).get(name)
+    _, default, evaluate = _row(name, point)
     try:
-        if name in CHECKS:
-            _, default, evaluate = CHECKS[name]
-            out["value"] = evaluate(point, cfg, out)
-            want = default if expect is None else expect
-            out["verdict"] = "pass" if want is None or out["value"] == want else "fail"
-            return out
-        depth = cfg["flow_depth"]
-        key = identity_key(name)
-        if key not in shared:
-            shared[key] = _identity_at_depths(name, point, depth, cap)
-        val, used = shared[key]
-        if val is None:
-            raise WindowError("identity %s not certifiable at any flow depth "
-                              "up to %d in this window" % (name, depth))
-        zero = val.is_zero()
-        out["value"] = "0" if zero else val.witness()
-        out["big_cell"] = val.big_cell
-        out["flow_depth"] = used
-        if name.startswith("CONN") and expect is None:
-            # the connectedness residue is a dichotomy, not a law:
-            # nonzero means connected, zero means split
-            out["verdict"] = "pass"
-        else:
-            want_zero = True if expect is None else bool(expect)
-            out["verdict"] = "pass" if zero == want_zero else "fail"
-        out["zero"] = zero
-        return out
+        got = evaluate(point, cfg, out)
     except (WindowError, FrameError) as e:
         out["verdict"] = "window-insufficient" if isinstance(e, WindowError) else "fail"
         out["detail"] = str(e)
         return out
+    out.setdefault("value", got)
+    want = default if expect is None else expect
+    out["verdict"] = "pass" if want is None or got == want else "fail"
+    return out
 
 
 def run(cfg: dict) -> dict:
@@ -265,19 +249,16 @@ def run(cfg: dict) -> dict:
         CHECKS[n][0] if n in CHECKS else 2, cfg["checks"].index(n)))
     names = list(dict.fromkeys(order))
     for n in names:
-        need = "NR" if n == "connectedness" else identity_case(n)
-        if need is not None and need != point.model.case:
-            raise ConfigError("check %s needs the %s model; this point is %s"
-                              % (n, need, point.model.case))
-        if n.startswith("CONN_") and not conn_components(n, point.model.p):
-            raise ConfigError("check %s names no component (CONN_i or CONN_1 .. "
-                              "CONN_%d)" % (n, point.model.p))
-    # SIGMA_* and MOD_*_1 are one pairing: it is evaluated once; the
-    # point builds its dual and sigma image once for every identity
-    shared = {}
+        if n == "connectedness" and point.model.case != "NR":
+            raise ConfigError("check connectedness needs the NR model; this point is %s"
+                              % point.model.case)
+        try:
+            _row(n, point)
+        except ValueError as e:
+            raise ConfigError(str(e))
     for n in names:
         t1 = time.time()
-        report["checks"][n] = run_check(n, point, cfg, shared)
+        report["checks"][n] = run_check(n, point, cfg)
         report["timing"][n] = round(time.time() - t1, 6)
     report["timing"]["total"] = round(time.time() - t0, 6)
     report["verdict"] = overall_verdict(report)
@@ -387,8 +368,11 @@ def main(argv=None) -> int:
         args = argparse.Namespace(config=None, window=None, jet_cap=None, out=None)
         for k, v in vars(ns).items():
             setattr(args, k, v)
-        if args.command == "check":
-            report = run(_load_config(args))
+        if args.command in ("check", "identity"):
+            cfg = _load_config(args)
+            if args.command == "identity":
+                cfg["checks"] = [args.tag]
+            report = run(cfg)
             _emit(report, args.out)
             return exit_code(report)
         if args.command == "curve-info":
@@ -399,12 +383,6 @@ def main(argv=None) -> int:
                 curve = _curve_from_config(cfg)
             _emit(curve_invariants(curve), args.out)
             return 0
-        if args.command == "identity":
-            cfg = _load_config(args)
-            cfg["checks"] = [args.tag]
-            report = run(cfg)
-            _emit(report, args.out)
-            return exit_code(report)
         if args.command == "prym-search":
             try:
                 result = prym_search_u_n(args.p, args.case, args.n, args.start)

@@ -18,11 +18,6 @@ class WindowError(PrymlabError):
         self.suggest = suggest
 
 
-class BigCellError(PrymlabError):
-    """The point is not transverse to v_m*V+, so the classically
-    normalized wave solve has no solution."""
-
-
 class FrameError(PrymlabError):
     """A generator list cannot be put into reduced echelon form."""
 

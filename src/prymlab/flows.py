@@ -251,12 +251,11 @@ def abel_coords(model: Model, ring: JetRing, zbar_names, depth: int) -> FlowCoor
 class PiElement:
     """An invertible element of V with certified constant norm."""
 
-    __slots__ = ("g", "norm_constant", "certified_hi")
+    __slots__ = ("g", "norm_constant")
 
-    def __init__(self, g: VSeries, norm_constant: JetPoly, certified_hi):
+    def __init__(self, g: VSeries, norm_constant: JetPoly):
         self.g = g
         self.norm_constant = norm_constant
-        self.certified_hi = certified_hi
 
 
 def norm_constancy(g: VSeries, need_hi: int | None = None):
@@ -280,7 +279,7 @@ def pi_element(g: VSeries, need_hi: int | None = None) -> PiElement:
     if not ok:
         raise ValueError("norm is not constant: z^%d coefficient is nonzero" % offender)
     nm = g.norm()
-    return PiElement(g, nm.terms.get(0, g.ring.zero()), nm.hi)
+    return PiElement(g, nm.terms.get(0, g.ring.zero()))
 
 
 def gamma_factor(g: VSeries):

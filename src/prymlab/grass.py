@@ -42,11 +42,11 @@ class GrassPoint:
         if self.tail is not None and len(self.tail) != model.ncomp:
             raise ValueError("tail needs one exponent bound per component")
 
-    def _once(self, key, build):
-        """build() at the first call; its frame, or the WindowError or
-        FrameError it raised (with a fresh traceback), at every later one.
-        A frame is not changed once its builder returns, so what is derived
-        from it stays valid."""
+    def once(self, key, build):
+        """build() at the first call for `key`; its result (a frame, an
+        identity value), or the WindowError or FrameError it raised (with a
+        fresh traceback), at every later one.  A frame is not changed once
+        its builder returns, so what is derived from it stays valid."""
         if key not in self._derived:
             try:
                 self._derived[key] = build()
@@ -127,16 +127,6 @@ class GrassPoint:
             except WindowError:
                 return n
             n += 1
-
-    def gaps(self):
-        """Certified non-pivot positions in [d_full, max_pivot_bound]."""
-        if not _isinf(self.phi) and self.phi <= self.max_pivot_bound:
-            raise WindowError(
-                "window ends before the pivot bound",
-                suggest=self.max_pivot_bound - self.phi + 1,
-            )
-        return [n for n in range(self.d_full(), self.max_pivot_bound + 1)
-                if not self.is_pivot(n)]
 
     def index_chi(self) -> int:
         """Euler characteristic of U -> V/V+: dim(U cap V+) - dim V/(U+V+)."""
@@ -257,7 +247,7 @@ class GrassPoint:
 
     def sigma_point(self) -> "GrassPoint":
         """The point rho(sigma) U, built once."""
-        return self._once("sigma", self._sigma_frame)
+        return self.once("sigma", self._sigma_frame)
 
     def _sigma_frame(self) -> "GrassPoint":
         m = self.model
@@ -292,7 +282,7 @@ class GrassPoint:
     def dual(self) -> "GrassPoint":
         """`orthogonal()`, built once (`orthogonal` builds at every call); a
         dual that cannot be built is tried once, and its error raised again."""
-        return self._once("dual", self.orthogonal)
+        return self.once("dual", self.orthogonal)
 
     def orthogonal(self) -> "GrassPoint":
         """Annihilator under the residue pairing, as a frame.

@@ -62,9 +62,9 @@ class JetRing:
     (True, True)
     """
 
-    __slots__ = ("names", "cap", "p", "index", "blocks", "_top", "_bound")
+    __slots__ = ("names", "cap", "p", "index", "_top", "_bound")
 
-    def __init__(self, p: int, names=(), cap: int = 0, blocks=None):
+    def __init__(self, p: int, names=(), cap: int = 0):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names: %r" % (names,))
@@ -74,7 +74,6 @@ class JetRing:
         self.names = names
         self.cap = cap
         self.index = {n: i for i, n in enumerate(names)}
-        self.blocks = dict(blocks or {})
         self._top = (cap + 1) ** len(names)
         self._bound = (cap + 1) * self._top
 
@@ -96,21 +95,6 @@ class JetRing:
     @staticmethod
     def scalar(p: int) -> "JetRing":
         return JetRing(p, (), 0)
-
-    @staticmethod
-    def with_blocks(p: int, block_sizes: dict, cap: int) -> "JetRing":
-        """Ring with disjoint variable blocks, e.g. {"t": 4, "s": 4}.
-
-        Block "t" of size 4 contributes variables t1..t4.
-        """
-        names, blocks = [], {}
-        for label, size in block_sizes.items():
-            idx = []
-            for j in range(1, size + 1):
-                idx.append(len(names))
-                names.append("%s%d" % (label, j))
-            blocks[label] = idx
-        return JetRing(p, names, cap, blocks)
 
     def compatible(self, other: "JetRing") -> bool:
         return self is other or (
@@ -140,9 +124,6 @@ class JetRing:
         if c.is_zero():
             return self.zero()
         return JetPoly(self, {self._key(((i, 1),)): c})
-
-    def block_vars(self, label: str):
-        return [self.names[i] for i in self.blocks[label]]
 
     def __repr__(self):
         return "JetRing(p=%d, %d vars, cap=%d)" % (self.p, len(self.names), self.cap)
@@ -308,7 +289,7 @@ class JetPoly:
 
     def truncate(self, cap: int, ring: JetRing | None = None) -> "JetPoly":
         """The terms of degree at most `cap`, in `ring` (of that cap) or a new ring."""
-        ring = ring or JetRing(self.ring.p, self.ring.names, cap, self.ring.blocks)
+        ring = ring or JetRing(self.ring.p, self.ring.names, cap)
         return self.map_vars(ring, {})
 
     # -- rendering -----------------------------------------------------------

@@ -290,19 +290,3 @@ class Cyclo:
                 c, k = part, 0
             coeffs[k] += Fraction(c.strip())
         return Cyclo(p, coeffs)
-
-
-def root_product(p: int) -> Cyclo:
-    """Product of (1 - xi^i) over i = 1..p-1; equals p in Q(xi_p)."""
-    out = Cyclo.one(p)
-    for i in range(1, p):
-        out = out * (Cyclo.one(p) - Cyclo.xi_power(p, i))
-    return out
-
-
-def power_sum(p: int, j: int) -> Cyclo:
-    """Sum of xi^(i*j) over i = 0..p-1; equals p when p | j, else 0."""
-    out = Cyclo.zero(p)
-    for i in range(p):
-        out = out + Cyclo.xi_power(p, i * j)
-    return out

@@ -187,10 +187,6 @@ class BaseSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "BaseSeries":
-        return BaseSeries(self.ring, {e + k: c for e, c in self.terms.items()},
-                          self.lo + k, self.hi if _isinf(self.hi) else self.hi + k)
-
     def valuation(self):
         return min(self.terms) if self.terms else None
 
@@ -550,15 +546,17 @@ class VSeries:
 
 def residue_pairing(a: VSeries, b: VSeries) -> JetPoly:
     """res_{z=0} tr(a*b) dz: the z^{-1} coefficient of the trace of a*b."""
-    t = (a * b).trace()
-    if -1 < t.lo:
-        return a.ring.zero()
-    if -1 >= t.hi:
-        raise WindowError(
-            "residue pairing needs the z^-1 trace coefficient; window hi=%s" % (t.hi,),
-            suggest=None if _isinf(t.hi) else -t.hi,
-        )
-    return t.terms.get(-1, a.ring.zero())
+    return _residue((a * b).trace(), "residue pairing needs the z^-1 trace coefficient")
+
+
+def _residue(s: BaseSeries, what: str) -> JetPoly:
+    """The z^-1 coefficient of s; `what` names it if s's window ends below."""
+    if -1 < s.lo:
+        return s.ring.zero()
+    if -1 >= s.hi:
+        raise WindowError("%s; window hi=%s" % (what, s.hi),
+                          suggest=None if _isinf(s.hi) else -s.hi)
+    return s.terms.get(-1, s.ring.zero())
 
 
 def wedge_step(minors, col) -> dict:
@@ -609,7 +607,6 @@ def wedge_residue(us, head=None) -> JetPoly:
     """
     us = list(us)
     model = us[0].model
-    ring = us[0].ring
     if len(us) != model.p:
         raise ValueError("wedge form takes exactly p arguments")
     if head is None:
@@ -619,14 +616,7 @@ def wedge_residue(us, head=None) -> JetPoly:
     else:
         minors = wedge_step(*head)
     (det,) = minors.values()
-    if -1 < det.lo:
-        return ring.zero()
-    if -1 >= det.hi:
-        raise WindowError(
-            "wedge residue needs the z^-1 determinant coefficient; window hi=%s" % (det.hi,),
-            suggest=None if _isinf(det.hi) else -det.hi,
-        )
-    return det.terms.get(-1, ring.zero())
+    return _residue(det, "wedge residue needs the z^-1 determinant coefficient")
 
 
 def vseries_exp(v: VSeries) -> VSeries:

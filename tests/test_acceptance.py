@@ -51,7 +51,7 @@ def test_acceptance_1_coordinate_laws():
         for case in ("R", "NR"):
             model = Model(p, case)
             for cap in (1, 2):
-                ring = JetRing.with_blocks(p, {"t": 3}, cap)
+                ring = JetRing(p, ("t1", "t2", "t3"), cap)
                 c = random_cover_coords(rng, model, ring, depth=3 * p)
                 g = c.element()
                 # norm: element level vs coordinate level; the trace of the
@@ -83,7 +83,7 @@ def test_acceptance_2_formal_prym_properties():
         while count < 50:
             case = "R" if count % 2 == 0 else "NR"
             model = Model(p, case)
-            ring = JetRing.with_blocks(p, {"t": 2}, 2)
+            ring = JetRing(p, ("t1", "t2"), 2)
             c = random_cover_coords(rng, model, ring, depth=p + 2)
             rep = prop_prym_report(c)
             assert rep["ok"], (p, case, rep)

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -5,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from prymlab.baker import residue_identity_eval
 from prymlab.cli import (
+    build_point,
     exit_code,
     main,
     parse_config,
@@ -163,6 +166,25 @@ def test_readme_cli_block_matches_the_parser(capsys):
         _one_line_config_error(capsys, main(argv))
 
 
+def test_readme_python_block_gives_the_values_it_states():
+    # every expression line of the block ends in `# value`, then an
+    # optional remark after two spaces or a colon
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    env, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expr = compile(code, "README", "eval")
+        except SyntaxError:
+            exec(code, env)
+            continue
+        want = ast.literal_eval(comment.strip().split("  ")[0].split(":")[0])
+        assert eval(expr, env) == want, line
+        checked += 1
+    assert checked == 4
+
+
 def _one_line_config_error(capsys, code):
     err = capsys.readouterr().err
     assert code == 3
@@ -282,16 +304,16 @@ def test_a_dual_that_cannot_be_built_is_reported_per_check(monkeypatch):
 
 
 def test_sigma_and_mod_1_are_evaluated_once(monkeypatch):
-    import prymlab.cli as cli
+    from prymlab import baker
 
     calls = []
-    evaluate = cli.residue_identity_eval
+    evaluate = baker.residue_identity_eval
 
     def counting(tag, *args, **kwargs):
         calls.append(tag)
         return evaluate(tag, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "residue_identity_eval", counting)
+    monkeypatch.setattr(baker, "residue_identity_eval", counting)
     # flow depth 6 is more than the window certifies: the pairing retries
     cfg = y2x5_config(window=[-10, 14], flow_depth=6, checks=["SIGMA_R"], expect={})
     alone = run(cfg)["checks"]["SIGMA_R"]
@@ -383,3 +405,33 @@ def test_timing_reports_the_build():
     report = run(y2x5_config(checks=["chi"]))
     assert set(report["timing"]) == {"build", "chi", "total"}
     assert 0 <= report["timing"]["build"] <= report["timing"]["total"]
+
+
+def test_an_uncertifiable_identity_suggests_the_window_for_depth_1():
+    # a benchmark identity job: at [-12, 14] no flow depth up to 6 certifies
+    # MOD_NR_2 on y^2 = x^6 - 1
+    cfg = {"curve": {"p": 2, "f": ["-1", "0", "0", "0", "0", "0", "1"]},
+           "window": [-12, 14], "flow_depth": 6, "checks": ["MOD_NR_2"]}
+    with pytest.raises(WindowError) as err:
+        residue_identity_eval("MOD_NR_2", build_point(parse_config(cfg)), depth=1, cap=1)
+    suggest = err.value.suggest
+    check = run(cfg)["checks"]["MOD_NR_2"]
+    assert check["verdict"] == "window-insufficient"
+    assert check["detail"] == (
+        "identity MOD_NR_2 not certifiable at any flow depth up to 6 in this window "
+        "(retry with a window extended by at least %d)" % suggest)
+    # depth 1 lacked the pairing's z^-1 coefficient: a higher window has it
+    wider = run(dict(cfg, window=[-12, 14 + suggest]))["checks"]["MOD_NR_2"]
+    assert wider["verdict"] == "pass" and wider["flow_depth"] == 1
+
+
+def test_bkp_gen_takes_one_flow_block_per_component_at_p_7(tmp_path):
+    # p = 7 once ran out of block labels and exited with a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"p": 7, "case": "R"}, "point": {"type": "u_n", "n": 1, "N": -1},
+        "flow_depth": 1, "checks": ["BKP_GEN"]}))
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg_path), "--out", str(out), "check"]) == 0
+    check = json.loads(out.read_text())["checks"]["BKP_GEN"]
+    assert check["value"] == "0" and check["flow_depth"] == 1

@@ -23,7 +23,7 @@ from prymlab.vseries import Model, VSeries, flow_exponential
 
 
 def cover_ring(p, nvars, cap=2, label="t"):
-    return JetRing.with_blocks(p, {label: nvars}, cap)
+    return JetRing(p, ["%s%d" % (label, j) for j in range(1, nvars + 1)], cap)
 
 
 def random_cover_coords(rng, model, ring, depth):

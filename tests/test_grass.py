@@ -736,7 +736,7 @@ def test_build_frame_matches_reference_on_fixture_frames(monkeypatch):
         nr = random_point(random.Random(8), Model(3, "NR"), scalar_ring(3))
         nr.sigma_point()
         m = Model(2, "R")
-        ring = JetRing.with_blocks(2, {"t": 2}, 1)
+        ring = JetRing(2, ("t1", "t2"), 1)
         U = random_point(random.Random(9), m, scalar_ring(2))
         U.group_act(flow_exponential(m, ring, {1: ring.var("t1"), 3: ring.var("t2")}))
         u_n_point(Model(3, "R"), scalar_ring(3), 2, -1)

@@ -108,8 +108,7 @@ def test_map_vars_scaling():
 
 
 def test_blocks_and_lift():
-    R = JetRing.with_blocks(2, {"t": 2, "s": 2}, cap=2)
-    assert R.block_vars("t") == ["t1", "t2"]
+    R = JetRing(2, ("t1", "t2", "s1", "s2"), cap=2)
     small = JetRing(2, ("t1",), cap=2)
     lifted = small.var("t1").lift(R)
     assert lifted == R.var("t1")

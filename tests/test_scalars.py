@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymlab.scalars import Cyclo, power_sum, root_product
+from prymlab.scalars import Cyclo
 
 
 def rand_cyclo(rng, p, depth=6):
@@ -50,18 +50,6 @@ def test_field_axioms_random(p):
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
             assert a * a.inverse() == one
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_root_product_identity(p):
-    assert root_product(p) == Cyclo.rational(p, p)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_power_sum_identity(p):
-    for j in range(-20, 21):
-        expect = Cyclo.rational(p, p if j % p == 0 else 0)
-        assert power_sum(p, j) == expect
 
 
 def test_division_by_zero():

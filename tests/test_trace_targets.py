@@ -93,3 +93,19 @@ def test_a_traced_tangent_check_makes_one_solve_and_one_rank():
         spans = [sid for sid, name in names.items() if name == target]
         assert len(spans) == 1
         assert names[parents[spans[0]]] == "grass.tangent_orbit_dim"
+
+
+def test_a_traced_bkp_gen_check_records_its_wedge():
+    # the identity table calls `wedge_residue` through its module, so the
+    # tracer's `vseries.wedge_residue` metrics count BKP_GEN checks too
+    t = _tracer()
+    cfg = {"model": {"p": 2, "case": "R"}, "point": {"type": "u_n", "n": 1, "N": -1},
+           "flow_depth": 1, "checks": ["BKP_GEN"]}
+    try:
+        t.install()
+        report = cli.run(cfg)
+    finally:
+        t.uninstall()
+    assert report["verdict"] == "pass"
+    names = [name for _, name, *_ in t.spans]
+    assert names.count("vseries.wedge_residue") == 1
