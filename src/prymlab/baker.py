@@ -16,6 +16,13 @@ projection is the canonical substitute, the family still generates U
 within the window, and every identity verdict below is insensitive to
 the choice (the identities are multilinear in generating families).
 
+On a scalar frame (as `cli.build_point` builds) `wave_solve_blocked`
+decides the wave solve before any jet arithmetic: E = (v_m/z_.) * exp-flow
+is nonzero at every exponent zone_i - 1 - k, 0 <= k <= ring cap * flow
+depth (distinct jet monomials cannot cancel), and a scalar row never writes
+below the pivot it clears, so the solve raises exactly at E's positions
+under the stored floor outside the tail, when pivots are full below.
+
 Identity tags follow the CLI names: SIGMA_R, SIGMA_NR, BKP_GEN,
 MOD_R_1..3, MOD_NR_1..3, CONN_i and CONN_<k>; `identity` decides each.
 """
@@ -120,6 +127,19 @@ def baker_akhiezer(U: GrassPoint, coords) -> BAFunction:
     return BAFunction(ring, u, big_cell, zone)
 
 
+def wave_solve_blocked(U: GrassPoint, reach: int) -> list:
+    """Positions below the stored window that the wave solve of a scalar
+    frame U needs when its flow exponential reaches z_.^-`reach` (the ring
+    cap times the flow depth): where `certified_residual` would raise."""
+    floor = U.stored_floor()
+    if floor is None or not U.pivots_full_below:
+        return []
+    model = U.model
+    return sorted(n for i, z in enumerate(_zone(model, U.index_chi()))
+                  for n in (model.pos(i + 1, z - 1 - k) for k in range(reach + 1))
+                  if n < floor and not U.in_tail(n))
+
+
 def adjoint_baker(U: GrassPoint, coords) -> BAFunction:
     """Wave family of the orthogonal point with negated flow times;
     `coords` is a dict of flow index -> jet coefficient, as for
@@ -167,6 +187,12 @@ def _families(points: dict, spec, depth: int, cap: int) -> tuple:
     """
     labels = _labels(len(spec))
     kernels = [_kernel_rows(points[name], points[name].index_chi()) for name in spec]
+    for name in spec:
+        if points[name].ring.cap:
+            break  # a jet frame is not prejudged
+        bad = wave_solve_blocked(points[name], len(spec) * cap * depth)
+        if bad:
+            raise points[name].below_window_error("wave solve", bad)
     ring, blocks = identity_ring(points[spec[0]].model, labels, depth, len(spec) * cap,
                                  {label: len(k) for label, k in zip(labels, kernels)})
     lifts, fams, big_cell = {}, [], {}
@@ -297,23 +323,33 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
 
 
 def certified_identity(tag: str, U: GrassPoint, depth: int, cap: int) -> tuple:
-    """(value, flow depth) of identity `tag` at the largest flow depth up to
-    `depth` that U's window certifies; U keeps it under (evaluation key,
-    depth, cap), so SIGMA_* and MOD_*_1 are searched once.  If no depth
-    certifies, the `WindowError` suggests the window that certifies 1."""
+    """(value, flow depth, attempts) of identity `tag` at the largest flow
+    depth up to `depth` that U's window certifies; `attempts` is [depth,
+    suggest] per depth tried, None for the certified one.  U keeps all three
+    under (evaluation key, depth, cap), so SIGMA_* and MOD_*_1 are searched
+    once.  If no depth certifies, the `WindowError` carries the `attempts`
+    and suggests the window that certifies 1.  A depth whose wave solve
+    `wave_solve_blocked` refuses (exactly; module docstring) costs no jet
+    arithmetic."""
     def deepest():
-        for d in range(depth, 1, -1):
+        attempts = []
+        for d in range(depth, 0, -1):
             try:
-                return residue_identity_eval(tag, U, depth=d, cap=cap), d
-            except WindowError:
-                pass
-        return residue_identity_eval(tag, U, depth=1, cap=cap), 1
+                value = residue_identity_eval(tag, U, depth=d, cap=cap)
+                return value, d, attempts + [[d, None]]
+            except WindowError as e:
+                attempts.append([d, e.suggest])
+        error = WindowError("no flow depth certifies", suggest=attempts[-1][1])
+        error.attempts = attempts  # fresh: the last error may be a memoized one
+        raise error
 
     try:
         return U.once((identity(tag, U.model).key, depth, cap), deepest)
     except WindowError as e:
-        raise WindowError("identity %s not certifiable at any flow depth up to %d "
-                          "in this window" % (tag, depth), suggest=e.suggest) from None
+        err = WindowError("identity %s not certifiable at any flow depth up to %d "
+                          "in this window" % (tag, depth), suggest=e.suggest)
+        err.attempts = e.attempts
+        raise err from None
 
 
 def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:

@@ -211,7 +211,7 @@ def _row(name: str, point: GrassPoint) -> tuple:
         return CHECKS[name]
 
     def evaluate(point, cfg, out):
-        val, used = certified_identity(name, point, cfg["flow_depth"], cfg["jet_cap"])
+        val, used, _ = certified_identity(name, point, cfg["flow_depth"], cfg["jet_cap"])
         zero = val.is_zero()
         out.update(value="0" if zero else val.witness(), big_cell=val.big_cell,
                    flow_depth=used, zero=zero)
@@ -239,6 +239,14 @@ def run_check(name: str, point: GrassPoint, cfg: dict) -> dict:
     return out
 
 
+def _attempts(name: str, point: GrassPoint, cfg: dict):
+    """The flow depths identity `name` tried, from the point's memo."""
+    try:
+        return certified_identity(name, point, cfg["flow_depth"], cfg["jet_cap"])[2]
+    except (WindowError, FrameError) as e:
+        return getattr(e, "attempts", None)  # none after a FrameError
+
+
 def run(cfg: dict) -> dict:
     cfg = parse_config(cfg)
     t0 = time.time()
@@ -260,6 +268,8 @@ def run(cfg: dict) -> dict:
         t1 = time.time()
         report["checks"][n] = run_check(n, point, cfg)
         report["timing"][n] = round(time.time() - t1, 6)
+        if n not in CHECKS:
+            report["timing"].setdefault("attempts", {})[n] = _attempts(n, point, cfg)
     report["timing"]["total"] = round(time.time() - t0, 6)
     report["verdict"] = overall_verdict(report)
     return report

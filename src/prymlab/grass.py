@@ -229,12 +229,13 @@ class GrassPoint:
         residual, blocked = self.reduce(v)
         bad = [n for n in blocked if not residual.pos_coeff(n).is_zero()]
         if bad:
-            raise WindowError(
-                "%s needs rows below the stored window (positions %s)"
-                % (what, sorted(bad)),
-                suggest=(self.stored_floor() or 0) - min(bad),
-            )
+            raise self.below_window_error(what, bad)
         return residual
+
+    def below_window_error(self, what: str, bad) -> WindowError:
+        """The error of a `what` needing rows at positions `bad` below the window."""
+        return WindowError("%s needs rows below the stored window (positions %s)" % (
+            what, sorted(bad)), suggest=(self.stored_floor() or 0) - min(bad))
 
     def membership(self, v: VSeries) -> bool:
         """Certified membership of v within the common window."""
@@ -425,9 +426,10 @@ class GrassPoint:
 
         Returns (True, None) or (False, witness positions).  Tuples whose
         residue is not window-certifiable raise WindowError unless a nonzero
-        witness settles the verdict first.  The search carries the minors
-        of the chosen prefix (`wedge_step`), so tuples sharing a prefix
-        share its minors and each tuple's wedge costs p series products.
+        witness settles the verdict first, suggesting the largest extension
+        theirs ask for (none if one names none).  The search carries the
+        minors of the chosen prefix (`wedge_step`), so tuples sharing a
+        prefix share its minors and each tuple's wedge costs p series products.
         """
         m = self.model
         cands = self._wedge_candidates()
@@ -453,8 +455,8 @@ class GrassPoint:
                 try:
                     val = wedge_residue([cands[i][0] for i in tup],
                                         head=(minors, coords[j]))
-                except WindowError:
-                    pend.append(tuple(cands[i][2] for i in tup))
+                except WindowError as e:
+                    pend.append(e.suggest)
                     continue
                 if not val.is_zero():
                     witness = tuple(cands[i][2] for i in tup)
@@ -464,7 +466,8 @@ class GrassPoint:
             return False, witness
         if pend:
             raise WindowError(
-                "isotropy: %d candidate tuples not certifiable in window" % len(pend))
+                "isotropy: %d candidate tuples not certifiable in window" % len(pend),
+                suggest=None if None in pend else max(pend))
         return True, None
 
     def algebra_point_check(self) -> bool:

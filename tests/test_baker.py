@@ -6,21 +6,24 @@ import pytest
 
 from conftest import random_point
 
+from prymlab import baker
 from prymlab.baker import (
     IdentityValue,
     _labels,
     adjoint_baker,
     ba_transform_check,
     baker_akhiezer,
+    certified_identity,
     identity_ring,
     normalizing_element,
     residue_identity_eval,
     v_over_z,
+    wave_solve_blocked,
 )
 from prymlab.errors import FrameError, WindowError
 from prymlab.grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from prymlab.jets import JetRing
-from prymlab.krichever import CurveSpec, algebra_point
+from prymlab.krichever import CurveSpec, FunctionRep, algebra_point, module_point
 from prymlab.vseries import (
     INF,
     Model,
@@ -538,3 +541,108 @@ def test_wave_solve_reproduces_the_reference():
         assert a.u.same_data(b.u) and a.psi.same_data(b.psi)
         off += a.big_cell is False
     assert off > 0  # off the big cell the frame projection is the family
+
+
+# ------------------------------------------------------------------ window rule
+
+
+def _rule_frames():
+    """Scalar frames of every kind the CLI builds, each with its dual and
+    sigma image: four curves at two windows, a line-bundle module point,
+    u_n (R/NR, N in {-1, 0}), lines and v_minus at p 2 and 3."""
+    curves = (((2, (-1, 0, 0, 0, 0, 1)), ((10, 14), (16, 26))),
+              ((3, (-1, 0, 0, 0, 1)), ((12, 14), (18, 27))),
+              ((2, (-1, 0, 0, 0, 0, 0, 1)), ((10, 14), (12, 18))),
+              ((3, (1, 2, 0, -1, 0, 0, 0, 3, 0, 0, 1)), ((24, 30), (30, 40))))
+    bases = [algebra_point(CurveSpec(p, list(f)), depth, height)
+             for (p, f), windows in curves for depth, height in windows]
+    bundle = [FunctionRep.one(), FunctionRep({(0, 1): 1}, {(1, 0): 1, (0, 0): -1})]
+    bases.append(module_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), bundle, 12, 14))
+    for p in (2, 3):
+        R = scalar_ring(p)
+        for case in ("R", "NR"):
+            m = Model(p, case)
+            bases += [u_n_point(m, R, 1, big_n) for big_n in (-1, 0)] + [v_minus(m, R)]
+        bases.append(lines_point(Model(p, "NR"), R))
+    frames = []
+    for U in bases:
+        frames.append(U)
+        for derive in (U.dual, U.sigma_point):
+            try:
+                frames.append(derive())
+            except (WindowError, FrameError):
+                pass
+    return frames
+
+
+def _solve_outcome(fn):
+    try:
+        fn()
+    except WindowError as e:
+        return str(e), e.suggest
+    return None
+
+
+def _rule_outcome(U, reach):
+    bad = wave_solve_blocked(U, reach)
+    if not bad:
+        return None
+    error = U.below_window_error("wave solve", bad)
+    return str(error), error.suggest
+
+
+def test_the_window_rule_is_the_wave_solve():
+    raised = passed = 0
+    for U in _rule_frames():
+        assert U.ring.cap == 0
+        # spec lengths 1-3 at jet caps 1-2, each family ring cap once
+        for n_spec, cap in ((1, 1), (1, 2), (3, 1), (2, 2), (3, 2)):
+            labels = _labels(n_spec)
+            for depth in range(1, 7):
+                ring, blocks = identity_ring(U.model, labels, depth, n_spec * cap)
+                solve = _solve_outcome(
+                    lambda: baker_akhiezer(U.lifted(ring), blocks[labels[0]]))
+                rule = _rule_outcome(U, n_spec * cap * depth)
+                assert rule == solve, (U.model, U.stored_floor(), n_spec, cap, depth)
+                raised += solve is not None
+                passed += solve is None
+    assert raised and passed
+
+
+def test_a_jet_frame_is_not_prejudged(monkeypatch):
+    # flow depth 9 multiplies down past the stored rows of pole depth 10
+    U = _y2x5_point()
+    ring, _ = identity_ring(U.model, ("t",), 9, 1)
+    solves, rules = [], []
+    solve, rule = baker.baker_akhiezer, baker.wave_solve_blocked
+    monkeypatch.setattr(baker, "baker_akhiezer",
+                        lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(baker, "wave_solve_blocked",
+                        lambda *a: rules.append(a) or rule(*a))
+    with pytest.raises(WindowError) as scalar:
+        baker._families({"U": U}, ("U",), 9, 1)
+    assert len(rules) == 1 and solves == []
+    rules.clear()
+    with pytest.raises(WindowError) as jet:
+        baker._families({"U": U.lifted(ring)}, ("U",), 9, 1)
+    assert rules == [] and len(solves) == 1
+    assert str(jet.value) == str(scalar.value)
+    assert jet.value.suggest == scalar.value.suggest == 1
+
+
+def test_refused_flow_depths_build_no_jet_ring(monkeypatch):
+    # the shape of the benchmark's algebra jobs at p = 2, d = 6, cap 2:
+    # y^2 = x^6 - 1 at [-12, 14], flow depth 6
+    depths = []
+    build = baker.identity_ring
+    monkeypatch.setattr(baker, "identity_ring", lambda model, labels, depth, *a:
+                        depths.append(depth) or build(model, labels, depth, *a))
+    U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 0, 1]), 12, 14)
+    value, used, attempts = certified_identity("SIGMA_NR", U, 6, 2)
+    # as before the rule, when every depth from 6 down built its ring
+    assert value.is_zero() and used == 1
+    assert attempts == [[6, 28], [5, 20], [4, 12], [3, 4], [2, 7], [1, None]]
+    assert depths == [1]
+    # the memo keeps the search: MOD_NR_1 reuses it and builds nothing
+    assert certified_identity("MOD_NR_1", U, 6, 2) == (value, used, attempts)
+    assert depths == [1]

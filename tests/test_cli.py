@@ -407,6 +407,22 @@ def test_timing_reports_the_build():
     assert 0 <= report["timing"]["build"] <= report["timing"]["total"]
 
 
+def test_timing_lists_the_flow_depths_each_identity_tried():
+    cfg = y2x5_config(window=[-10, 14], flow_depth=6, checks=["chi", "SIGMA_R", "MOD_R_1"],
+                      expect={})
+    report = run(cfg)
+    attempts = report["timing"]["attempts"]
+    assert set(attempts) == {"SIGMA_R", "MOD_R_1"}
+    # one search, kept with the value: both names report it
+    assert attempts["SIGMA_R"] == attempts["MOD_R_1"]
+    used = report["checks"]["SIGMA_R"]["flow_depth"]
+    assert [d for d, _ in attempts["SIGMA_R"]] == list(range(6, used - 1, -1))
+    assert attempts["SIGMA_R"][-1] == [used, None]
+    assert all(isinstance(s, int) and s > 0 for _, s in attempts["SIGMA_R"][:-1])
+    # the untimed report does not change
+    assert strip_timing(run(cfg)) == strip_timing(report)
+
+
 def test_an_uncertifiable_identity_suggests_the_window_for_depth_1():
     # a benchmark identity job: at [-12, 14] no flow depth up to 6 certifies
     # MOD_NR_2 on y^2 = x^6 - 1
@@ -415,8 +431,13 @@ def test_an_uncertifiable_identity_suggests_the_window_for_depth_1():
     with pytest.raises(WindowError) as err:
         residue_identity_eval("MOD_NR_2", build_point(parse_config(cfg)), depth=1, cap=1)
     suggest = err.value.suggest
-    check = run(cfg)["checks"]["MOD_NR_2"]
+    report = run(cfg)
+    check = report["checks"]["MOD_NR_2"]
     assert check["verdict"] == "window-insufficient"
+    # every depth was tried, and each one's suggest is reported
+    attempts = report["timing"]["attempts"]["MOD_NR_2"]
+    assert [d for d, _ in attempts] == [6, 5, 4, 3, 2, 1]
+    assert attempts[-1] == [1, suggest] and None not in [s for _, s in attempts]
     assert check["detail"] == (
         "identity MOD_NR_2 not certifiable at any flow depth up to 6 in this window "
         "(retry with a window extended by at least %d)" % suggest)

@@ -231,6 +231,32 @@ def test_u_n_isotropy_p3():
     assert ok
 
 
+@pytest.mark.parametrize("window, suggest", [((10, 14), 7), ((12, 18), 8)])
+def test_uncertifiable_isotropy_suggests_the_largest_extension(window, suggest):
+    # the benchmark's p = 5 curve: its pending tuples ask for 4..7 and 4..8
+    U = algebra_point(CurveSpec(5, [1, 0, 1, 1]), *window)
+    with pytest.raises(WindowError, match="candidate tuples not certifiable") as err:
+        U.isotropy_check()
+    assert err.value.suggest == suggest
+
+
+def test_isotropy_suggests_nothing_if_a_pending_tuple_names_nothing(monkeypatch):
+    # the first of the 21 pending tuples above now names no extension
+    wedge, calls = grass.wedge_residue, []
+
+    def unnamed(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise WindowError("not certified here")
+        return wedge(*args, **kwargs)
+
+    monkeypatch.setattr(grass, "wedge_residue", unnamed)
+    with pytest.raises(WindowError, match="21 candidate tuples") as err:
+        algebra_point(CurveSpec(5, [1, 0, 1, 1]), 10, 14).isotropy_check()
+    assert err.value.suggest is None
+    assert str(err.value).endswith("not certifiable in window")
+
+
 def test_pi_flow_preserves_isotropy_failing_norm_breaks_it():
     m = Model(2, "R")
     R = JetRing(2, ("a1", "e1"), cap=1)
@@ -786,8 +812,8 @@ def _reference_isotropy_check(U):
             rows = [cands[j][0] for j in chosen]
             try:
                 val = grass.wedge_residue(rows)
-            except WindowError:
-                pend.append(tuple(cands[j][2] for j in chosen))
+            except WindowError as e:
+                pend.append(e.suggest)
                 return
             if not val.is_zero():
                 witness = tuple(cands[j][2] for j in chosen)
@@ -806,7 +832,8 @@ def _reference_isotropy_check(U):
         return False, witness
     if pend:
         raise WindowError(
-            "isotropy: %d candidate tuples not certifiable in window" % len(pend))
+            "isotropy: %d candidate tuples not certifiable in window" % len(pend),
+            suggest=None if None in pend else max(pend))
     return True, None
 
 
@@ -866,4 +893,6 @@ def test_isotropy_p5_p7_curve_jobs_finish(p, f, window, tuples):
     assert time.process_time() - t0 < 2
     check = report["checks"]["isotropy"]
     assert check["verdict"] == "window-insufficient"
-    assert check["detail"] == "isotropy: %d candidate tuples not certifiable in window" % tuples
+    assert check["detail"] == ("isotropy: %d candidate tuples not certifiable in window "
+                               "(retry with a window extended by at least %d)"
+                               % (tuples, {5: 14, 7: 11}[p]))
