@@ -187,12 +187,16 @@ def _families(points: dict, spec, depth: int, cap: int) -> tuple:
     """
     labels = _labels(len(spec))
     kernels = [_kernel_rows(points[name], points[name].index_chi()) for name in spec]
+    errors = []
     for name in spec:
         if points[name].ring.cap:
             break  # a jet frame is not prejudged
         bad = wave_solve_blocked(points[name], len(spec) * cap * depth)
         if bad:
-            raise points[name].below_window_error("wave solve", bad)
+            errors.append(points[name].below_window_error("wave solve", bad))
+    if errors:
+        # the family that needs the largest extension names the depth's error
+        raise max(errors, key=lambda e: e.suggest)
     ring, blocks = identity_ring(points[spec[0]].model, labels, depth, len(spec) * cap,
                                  {label: len(k) for label, k in zip(labels, kernels)})
     lifts, fams, big_cell = {}, [], {}

@@ -18,7 +18,7 @@ import heapq
 import itertools
 
 from .errors import FrameError, WindowError
-from .jets import JetRing
+from .jets import JetPoly, JetRing
 from .linalg import nullspace, rank_of_vectors
 from .scalars import Cyclo
 from .vseries import INF, Model, VSeries, _isinf, wedge_residue, wedge_step
@@ -98,6 +98,15 @@ class GrassPoint:
             return self
         return self._with_rows({n: r.lift(ring) for n, r in self.rows.items()}, ring)
 
+    def scalar_view(self) -> "GrassPoint":
+        """This cap-0 frame with the `Cyclo` constant terms of its rows as
+        coefficients, built once: `_clear` on it reduces plain coefficient
+        maps with no jet around each scalar.  A jet frame has none."""
+        if self.ring.cap:
+            raise ValueError("a jet frame has no scalar view")
+        return self.once("scalar", lambda: self._with_rows(
+            {n: r.map_coeffs(JetPoly.constant_term) for n, r in self.rows.items()}))
+
     def _with_rows(self, rows: dict, ring: JetRing | None = None) -> "GrassPoint":
         """This frame's tail, window and pivot certificates over new rows."""
         return GrassPoint(self.model, self.ring if ring is None else ring, rows,
@@ -161,18 +170,27 @@ class GrassPoint:
         """Clear `comps` in place at the tail and at every row pivot but `skip`.
 
         `comps` holds one exponent -> coefficient map per component, all
-        below `hi`.  Each pass sweeps the positions upwards; a pivot or tail
-        entry that a row puts above the sweep is cleared in the same pass,
-        one below it in the next.  Returns (lo, hi, blocked), `blocked` as
-        for `reduce`; [lo, hi) is the common window of the input and every
-        row used.
+        below `hi`; the coefficients are those of the frame's rows (jets,
+        or `Cyclo` on a scalar view).  Each pass sweeps the positions
+        upwards; a pivot or tail entry that a row puts above the sweep is
+        cleared in the same pass.  A pass that adds no entry at or below its
+        sweep position is the last.  The sweep has cleared every pivot and
+        tail entry it passed (a row's coefficient at its pivot is 1) and
+        marked every blocked one; an entry added above it is queued if it
+        needs clearing and is never blocked (rows sit at or above the
+        floor).  So only an entry added behind the sweep can need another
+        pass.  A scalar row is supported at and above its pivot, so a scalar
+        reduction takes one pass; a jet row's nilpotent entries below its
+        pivot can need more.  Returns (lo, hi, blocked), `blocked` as for
+        `reduce`; [lo, hi) is the common window of the input and every row
+        used.
         """
         m = self.model
         rows, tail = self.rows, self.tail
         blocked = set()
         floor = self.stored_floor()
         for _ in range(self.ring.cap + 2):
-            changed = False
+            below = False
             todo = [m.pos(ci + 1, e) for ci, d in enumerate(comps) for e in d]
             heapq.heapify(todo)
             queued = set(todo)
@@ -185,7 +203,6 @@ class GrassPoint:
                     continue
                 if self.in_tail(n):
                     del t[e]
-                    changed = True
                     continue
                 row = rows.get(n)
                 if row is not None:
@@ -206,7 +223,9 @@ class GrassPoint:
                             if s is None:
                                 d[e2] = -x
                                 q = m.pos(k + 1, e2)
-                                if q > n and q not in queued and (
+                                if q <= n:
+                                    below = True
+                                elif q not in queued and (
                                         q in rows or tail is not None and e2 < tail[k]):
                                     heapq.heappush(todo, q)
                                     queued.add(q)
@@ -216,10 +235,9 @@ class GrassPoint:
                                     del d[e2]
                                 else:
                                     d[e2] = s
-                    changed = True
                 elif floor is not None and n < floor and self.pivots_full_below:
                     blocked.add(n)
-            if not changed:
+            if not below:
                 break
         return lo, hi, blocked
 
@@ -471,21 +489,24 @@ class GrassPoint:
         return True, None
 
     def algebra_point_check(self) -> bool:
-        """1 in U and U.U inside U, over window-certifiable row pairs."""
+        """1 in U and U.U inside U, over window-certifiable row pairs; the
+        row products and their memberships are formed on the scalar view
+        of a cap-0 frame."""
         if not self.membership(VSeries.one(self.model, self.ring)):
             return False
-        floor = self.stored_floor()
-        pivots = sorted(self.rows)
-        p = self.model.p
+        U = self.scalar_view() if not self.ring.cap else self
+        floor = U.stored_floor()
+        pivots = sorted(U.rows)
+        p = U.model.p
         for a, b in itertools.combinations_with_replacement(pivots, 2):
-            if self.tail is None and floor is not None \
+            if U.tail is None and floor is not None \
                     and p * (a // p + b // p) < floor:
                 continue  # product escapes the stored window
-            prod = self.rows[a] * self.rows[b]
+            prod = U.rows[a] * U.rows[b]
             lo_p, hi_p = prod.pos_window()
             if not _isinf(hi_p) and hi_p <= lo_p + 1:
                 continue
-            if not self.membership(prod):
+            if not U.membership(prod):
                 return False
         return True
 
@@ -510,14 +531,17 @@ class GrassPoint:
         part) is constant when every class-0 unknown off e = 0 vanishes.
         The dimension is (principal parts outside class 0) minus
         (principal parts of the nullspace).
+
+        Each product z^e e_comp . row is the row's component comp shifted
+        by e, on the window [row lo + e, min(row hi + e, frame top)) that
+        `reduce` gives the series product; it is written straight into
+        coefficient maps and cleared by `_clear` on the scalar view.
         """
         m = self.model
-        if self.ring.cap != 0:
-            raise ValueError("tangent computation expects a scalar frame")
+        view = self.scalar_view()  # ValueError for a jet frame
         p = m.p
-        e_hi = depth + 2
-        if not _isinf(self.phi):
-            e_hi = max(e_hi, m.exp_window(0, self.phi)[1] - 1)
+        top = m.exp_window(0, self.phi)[1]
+        e_hi = depth + 2 if _isinf(top) else max(depth + 2, top - 1)
         exps = range(-depth, e_hi)
         if m.case == "R":
             unknowns = [(e % p, e) for e in exps]
@@ -530,28 +554,31 @@ class GrassPoint:
         weights = [[(c, m.xi_pow(c * i) if c * i % p else None) for c in range(p)]
                    for i in range(m.ncomp)]
         top_pos = m.pos(1, e_hi)
-        for r in self._tangent_rows(depth):
+        for r in view._tangent_rows(depth):
             # the row's equations hold on the meet of its products' windows;
             # an entry outside the meet so far stays outside it
             lo, hi = _DEEP, top_pos + r.pos_window()[0]
             eqs = {}
-            for comp in range(1, m.ncomp + 1):
+            for comp, rd in enumerate(r.comps, 1):
                 for e in exps:
-                    residual, blocked = self.reduce(
-                        VSeries.monomial(m, self.ring, comp, e) * r)
+                    e_top = min(r.hi + e, top)
+                    comps = [{} for _ in range(m.ncomp)]
+                    comps[comp - 1] = {k + e: a for k, a in rd.items() if k + e < e_top}
+                    _, e_top, blocked = view._clear(comps, r.lo + e, e_top)
                     if blocked:
                         lo = max(lo, max(blocked) + 1)
-                    hi = min(hi, residual.pos_window()[1])
+                    hi = min(hi, m.pos_window(0, e_top)[1])
                     targets = [(e % p, None)] if m.case == "R" else weights[comp - 1]
-                    for q, a in residual.pos_items():
-                        if not lo <= q < hi:
-                            continue
-                        a = a.constant_term()
-                        for c, w in targets:
-                            x = a if w is None else a * w
-                            eq = eqs.setdefault((c, q), {})
-                            k = col[(c, e)]
-                            eq[k] = eq[k] + x if k in eq else x
+                    for ci, d in enumerate(comps, 1):
+                        for k, a in d.items():
+                            q = m.pos(ci, k)
+                            if not lo <= q < hi:
+                                continue
+                            for c, w in targets:
+                                x = a if w is None else a * w
+                                eq = eqs.setdefault((c, q), {})
+                                u = col[(c, e)]
+                                eq[u] = eq[u] + x if u in eq else x
             equations.extend(eq for (_, q), eq in eqs.items() if lo <= q < hi)
         basis = nullspace(equations, len(unknowns), p)
         neg_cols = [k for k, (_, e) in enumerate(unknowns) if e < 0]
@@ -561,7 +588,8 @@ class GrassPoint:
 
     def _tangent_rows(self, depth: int):
         """Rows usable as constraints: products must stay in the window.
-        Tail monomials near the tail edge come last."""
+        Tail monomials near the tail edge come last, with `Cyclo`
+        coefficients, as on the scalar view this is read from."""
         m = self.model
         rows = []
         floor = self.stored_floor()
@@ -575,7 +603,8 @@ class GrassPoint:
         if self.tail is not None:
             for i, t in enumerate(self.tail):
                 for e in range(t - depth - 1, t):
-                    rows.append(VSeries.monomial(m, self.ring, i + 1, e))
+                    rows.append(VSeries.monomial(m, self.ring, i + 1, e)
+                                .map_coeffs(JetPoly.constant_term))
         return rows
 
     # ------------------------------------------------------------------ misc

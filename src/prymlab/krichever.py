@@ -158,6 +158,7 @@ class CurveExpansion:
         self.hi = hi
         p, d = curve.p, curve.d
         m, R = self.model, self.ring
+        self._monomials = {(0, 0): VSeries.one(m, R)}
         if curve.case == "R":
             # x = z1^{-p} exactly; y = z1^{-d} * (z1^{pd} f(z1^{-p}))^{1/p}
             self.x = VSeries.monomial(m, R, 1, -p)
@@ -191,11 +192,15 @@ class CurveExpansion:
         return (acc - fx).is_zero_certified()
 
     def monomial(self, a: int, b: int) -> VSeries:
-        out = VSeries.one(self.model, self.ring)
-        for _ in range(a):
-            out = out * self.x
-        for _ in range(b):
-            out = out * self.y
+        """x^a y^b as 1 * x * ... * x * y * ... * y (a negative exponent
+        counts as 0).  Each monomial is kept, so one is its kept prefix
+        x^a y^(b-1) or x^(a-1) times one more factor: the same products in
+        the same order, with the same values and windows."""
+        a, b = max(a, 0), max(b, 0)
+        out = self._monomials.get((a, b))
+        if out is None:
+            out = self.monomial(a, b - 1) * self.y if b else self.monomial(a - 1, 0) * self.x
+            self._monomials[(a, b)] = out
         return out
 
     def expand(self, F: FunctionRep) -> VSeries:

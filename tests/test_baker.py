@@ -639,9 +639,10 @@ def test_refused_flow_depths_build_no_jet_ring(monkeypatch):
                         depths.append(depth) or build(model, labels, depth, *a))
     U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 0, 1]), 12, 14)
     value, used, attempts = certified_identity("SIGMA_NR", U, 6, 2)
-    # as before the rule, when every depth from 6 down built its ring
+    # each refused depth suggests what its neediest family asks for, here
+    # the dual's (the sigma family asks for 4 at depth 3, nothing at 2)
     assert value.is_zero() and used == 1
-    assert attempts == [[6, 28], [5, 20], [4, 12], [3, 4], [2, 7], [1, None]]
+    assert attempts == [[6, 39], [5, 31], [4, 23], [3, 15], [2, 7], [1, None]]
     assert depths == [1]
     # the memo keeps the search: MOD_NR_1 reuses it and builds nothing
     assert certified_identity("MOD_NR_1", U, 6, 2) == (value, used, attempts)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from prymlab.baker import residue_identity_eval
+from prymlab.baker import residue_identity_eval, wave_solve_blocked
 from prymlab.cli import (
     build_point,
     exit_code,
@@ -444,6 +444,20 @@ def test_an_uncertifiable_identity_suggests_the_window_for_depth_1():
     # depth 1 lacked the pairing's z^-1 coefficient: a higher window has it
     wider = run(dict(cfg, window=[-12, 14 + suggest]))["checks"]["MOD_NR_2"]
     assert wider["verdict"] == "pass" and wider["flow_depth"] == 1
+
+
+def test_a_refused_depth_suggests_what_its_neediest_family_needs():
+    # SIGMA_NR pairs the sigma family with the dual's; at depth 3 the sigma
+    # family asks for 4 more, the dual's for 15, and 4 would fail again
+    cfg = {"curve": {"p": 2, "f": ["-1", "0", "0", "0", "0", "0", "1"]},
+           "window": [-12, 14], "jet_cap": 2, "flow_depth": 6, "checks": ["SIGMA_NR"]}
+    attempts = dict(run(cfg)["timing"]["attempts"]["SIGMA_NR"])
+    assert attempts[3] == 15
+    U = build_point(parse_config(cfg))
+    # reach = 2 families x cap 2 x depth 3
+    needs = [P.stored_floor() - min(wave_solve_blocked(P, 12))
+             for P in (U.sigma_point(), U.dual())]
+    assert needs == [4, 15]
 
 
 def test_bkp_gen_takes_one_flow_block_per_component_at_p_7(tmp_path):

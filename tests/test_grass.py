@@ -1,4 +1,5 @@
 import functools
+import heapq
 import random
 import time
 
@@ -321,6 +322,44 @@ def test_tangent_of_lines_point_is_zero():
     assert L.tangent_orbit_dim(4) == L.tangent_orbit_dim(5) == 0
 
 
+def test_a_point_builds_its_scalar_view_once(monkeypatch):
+    U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 12)
+    builds = []
+    with_rows = GrassPoint._with_rows
+    monkeypatch.setattr(GrassPoint, "_with_rows",
+                        lambda self, *a: builds.append(self) or with_rows(self, *a))
+    assert U.tangent_orbit_dim(4) == U.tangent_orbit_dim(5) == 2
+    assert U.algebra_point_check()
+    view = U.scalar_view()
+    assert builds == [U] and U.scalar_view() is view
+    # the same rows, windows and certificates, with Cyclo coefficients
+    assert view.rows.keys() == U.rows.keys()
+    for n, r in U.rows.items():
+        v = view.rows[n]
+        assert (v.lo, v.hi) == (r.lo, r.hi)
+        assert v.comps == tuple({e: c.constant_term() for e, c in d.items()}
+                                for d in r.comps)
+        assert all(type(c) is Cyclo for d in v.comps for c in d.values())
+    assert (view.tail, view.phi, view.pivots_full_below, view.max_pivot_bound) == \
+        (U.tail, U.phi, U.pivots_full_below, U.max_pivot_bound)
+
+
+def test_a_jet_frame_has_no_scalar_view():
+    U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 12)
+    J = U.lifted(JetRing(2, ("t1",), 1))
+    with pytest.raises(ValueError):
+        J.tangent_orbit_dim(4)
+    with pytest.raises(ValueError):
+        J.scalar_view()
+    # the algebra check reduces the jet frame itself, to the same verdicts
+    assert J.algebra_point_check() and U.algebra_point_check()
+    m, R = Model(2, "R"), scalar_ring(2)
+    gen = VSeries(m, R, [{-1: R.one(), 1: R.one()}], -1)
+    bad = build_frame(m, R, [VSeries.one(m, R), gen], tail=(-4,))
+    assert not bad.algebra_point_check()
+    assert not bad.lifted(JetRing(2, ("t1",), 1)).algebra_point_check()
+
+
 def test_invariance_passes_to_orthogonal():
     # sigma preserves the pairing (trace is sigma-invariant), so duals of
     # invariant points are invariant
@@ -558,16 +597,19 @@ def test_tangent_reduces_each_product_once(monkeypatch, name):
     U, depth, _ = _tangent_case(name)
     keys = set()
     _reference_tangent_once(U, depth, keys, [])
+    view = U.scalar_view()
     calls = []
-    reduce = GrassPoint.reduce
+    clear = GrassPoint._clear
 
-    def counting(self, v):
-        calls.append(v)
-        return reduce(self, v)
+    def counting(self, comps, lo, hi, skip=None):
+        calls.append(self)
+        return clear(self, comps, lo, hi, skip)
 
-    monkeypatch.setattr(GrassPoint, "reduce", counting)
+    monkeypatch.setattr(GrassPoint, "_clear", counting)
     U.tangent_orbit_dim(depth)
+    # every product is one reduction, on the scalar view
     assert len(calls) == len(keys)
+    assert all(frame is view for frame in calls)
 
 
 def _random_jet(rng, ring, p):
@@ -626,6 +668,148 @@ def test_reduce_matches_reference(cap):
                 got, want = U.reduce(v), _reference_reduce(U, v)
                 assert got[0] == want[0]          # coefficients and window
                 assert got[1] == want[1]
+
+
+# ------------------------------------------------------------------ _clear: stop rule
+#
+# `_clear` as it was before it stopped after a pass that adds no entry at
+# or below its sweep: it stopped only after a pass that cleared nothing, so
+# every reduction that cleared anything swept twice or more.  The two must
+# agree on the residual, the window and the blocked positions.
+
+
+def _two_pass_clear(U, comps, lo, hi, skip=None):
+    m = U.model
+    rows, tail = U.rows, U.tail
+    blocked = set()
+    floor = U.stored_floor()
+    for _ in range(U.ring.cap + 2):
+        changed = False
+        todo = [m.pos(ci + 1, e) for ci, d in enumerate(comps) for e in d]
+        heapq.heapify(todo)
+        queued = set(todo)
+        while todo:
+            n = heapq.heappop(todo)
+            ci, e = m.unpos(n)
+            t = comps[ci - 1]
+            c = t.get(e)
+            if c is None or n == skip:
+                continue
+            if U.in_tail(n):
+                del t[e]
+                changed = True
+                continue
+            row = rows.get(n)
+            if row is not None:
+                if row.hi < hi:
+                    hi = row.hi
+                    for d in comps:
+                        for e2 in [e2 for e2 in d if e2 >= hi]:
+                            del d[e2]
+                lo = min(lo, row.lo)
+                for k, (d, rd) in enumerate(zip(comps, row.comps)):
+                    for e2, a in rd.items():
+                        if e2 >= hi:
+                            continue
+                        x = a * c
+                        if x.is_zero():
+                            continue
+                        s = d.get(e2)
+                        if s is None:
+                            d[e2] = -x
+                            q = m.pos(k + 1, e2)
+                            if q > n and q not in queued and (
+                                    q in rows or tail is not None and e2 < tail[k]):
+                                heapq.heappush(todo, q)
+                                queued.add(q)
+                        else:
+                            s = s - x
+                            if s.is_zero():
+                                del d[e2]
+                            else:
+                                d[e2] = s
+                changed = True
+            elif floor is not None and n < floor and U.pivots_full_below:
+                blocked.add(n)
+        if not changed:
+            break
+    return lo, hi, blocked
+
+
+def _random_unreduced_frame(rng, model, ring, with_tail):
+    """A frame whose rows, as in the builder's partial frame, are not yet
+    cleared at each other's pivots or the tail: pivot coefficient 1, any
+    entries above, and nilpotent ones (cap > 0) below."""
+    p = model.p
+    edge = model.pos(1, -2)
+    positions = list(range(edge, edge + 6 * p))
+    pivots = sorted(rng.sample(positions, 4))
+    rows = {}
+    for piv in pivots:
+        data = {piv: ring.one()}
+        for q in positions:
+            if q != piv and rng.random() < 0.4:
+                c = _random_jet(rng, ring, p)
+                if q < piv:
+                    c = c - c.constant_term()
+                if not c.is_zero():
+                    data[q] = c
+        top = rng.choice([INF, piv + rng.randint(1, 4 * p)])
+        rows[piv] = VSeries.from_positions(model, ring, data, phi=top)
+    if with_tail:
+        kwargs = {"tail": (-1,) * model.ncomp, "phi": INF, "pivots_full_below": True}
+    else:
+        kwargs = {"phi": edge + 8 * p, "pivots_full_below": True}
+    return GrassPoint(model, ring, rows, max_pivot_bound=edge + 6 * p, **kwargs)
+
+
+def test_clear_stops_after_a_pass_with_nothing_below_its_sweep(monkeypatch):
+    passes = []
+    heapify = heapq.heapify
+    monkeypatch.setattr(heapq, "heapify", lambda h: passes.append(h) or heapify(h))
+    rng = random.Random(6300)
+    blocked = fewer = several = 0
+    for cap in (0, 1, 2):
+        for case, p in (("R", 2), ("R", 3), ("NR", 2), ("NR", 3)):
+            m = Model(p, case)
+            ring = JetRing(p, ("w1", "w2"), cap=cap) if cap else scalar_ring(p)
+            for trial in range(8):
+                make = _random_unreduced_frame if trial >= 4 else _random_jet_frame
+                try:
+                    U = make(rng, m, ring, with_tail=trial % 2 == 0)
+                except FrameError:
+                    continue
+                for F in [U] if cap else [U, U.scalar_view()]:
+                    # every row cleared at the other pivots, as the frame
+                    # builder does (skip = its own pivot), and random vectors
+                    cases = [(r.comps, r.lo, r.hi, n) for n, r in F.rows.items()]
+                    for _ in range(6):
+                        lo_pos = m.pos(1, -4) + rng.randint(0, 6 * p)
+                        data = {q: _random_jet(rng, ring, p)
+                                for q in range(lo_pos, lo_pos + 12 * p) if rng.random() < 0.5}
+                        top = lo_pos + rng.randint(4 * p, 14 * p) if rng.random() < 0.5 else INF
+                        v = VSeries.from_positions(m, ring, data, phi=top)
+                        if F is not U:
+                            v = v.map_coeffs(lambda c: c.constant_term())
+                        cases.append((v.comps, v.lo, v.hi, None))
+                    for comps, lo, hi, skip in cases:
+                        got_comps = [dict(d) for d in comps]
+                        want_comps = [dict(d) for d in comps]
+                        passes.clear()
+                        got = F._clear(got_comps, lo, hi, skip)
+                        ours = len(passes)
+                        passes.clear()
+                        want = _two_pass_clear(F, want_comps, lo, hi, skip)
+                        assert got == want and got_comps == want_comps
+                        assert ours <= len(passes)
+                        if cap == 0:
+                            assert ours == 1  # a scalar row writes nothing below its pivot
+                        blocked += bool(got[2])
+                        fewer += ours < len(passes)
+                        several += ours > 1
+    # the comparison saw blocked positions, saved passes, and jet reductions
+    # that needed a second pass
+    assert blocked and fewer and several
 
 
 # ------------------------------------------------------------------ build_frame: reference

@@ -12,6 +12,7 @@ from prymlab.krichever import (
     module_point,
     puiseux_expand,
 )
+from prymlab.vseries import VSeries
 
 def curve_y2_x5():
     return CurveSpec(2, [-1, 0, 0, 0, 0, 1])   # y^2 = x^5 - 1
@@ -67,6 +68,29 @@ def test_equivariance_of_expansions():
             assert (lhs - rhs).is_zero_certified()
         # x is a base function: sigma-invariant
         assert (exp.x.sigma() - exp.x).is_zero_certified()
+
+
+@pytest.mark.parametrize("curve", [curve_y2_x5(), curve_y3_x4(), curve_y2_x6()])
+def test_monomials_extend_their_kept_prefix(monkeypatch, curve):
+    exp = puiseux_expand(curve, 12)
+    products = []
+    mul = VSeries.__mul__
+    monkeypatch.setattr(VSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    kept = {}
+    for a in range(5):
+        for b in range(curve.p):
+            products.clear()
+            kept[a, b] = exp.monomial(a, b)
+            assert len(products) == 1 if (a, b) != (0, 0) else not products
+    monkeypatch.setattr(VSeries, "__mul__", mul)
+    for (a, b), got in kept.items():
+        want = VSeries.one(exp.model, exp.ring)
+        for factor in [exp.x] * a + [exp.y] * b:
+            want = want * factor
+        assert got == want   # coefficients and window
+        assert exp.monomial(a, b) is got
+    # a negative exponent counts as 0, as in the product it replaces
+    assert exp.monomial(-1, 1) is exp.monomial(0, 1)
 
 
 def test_expand_function_with_denominator():
