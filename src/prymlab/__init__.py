@@ -14,7 +14,6 @@ from .errors import ConfigError, FrameError, PrymlabError, WindowError
 from .flows import (
     FlowCoords,
     PiElement,
-    abel_coords,
     jac_coord_map,
     pi_element,
     prop_prym_report,

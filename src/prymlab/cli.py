@@ -55,6 +55,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _as_int(x, name: str) -> int:
+    """x if it is a JSON integer, else a config error (1.5 is never cut to 1)."""
+    if not _is_int(x):
+        raise ConfigError("%s must be an integer, not %s" % (name, json.dumps(x)))
+    return x
+
+
 # the JSON type a pinned expectation must have, as (test, description);
 # every check not named here takes a JSON boolean
 _EXPECT_TYPES = {
@@ -107,7 +114,7 @@ def _curve_from_config(cfg) -> CurveSpec:
     cur = cfg["curve"]
     try:
         coeffs = [Fraction(c) for c in cur["f"]]
-        return CurveSpec(int(cur["p"]), coeffs)
+        return CurveSpec(_as_int(cur["p"], "curve.p"), coeffs)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError("bad curve description: %s" % e)
 
@@ -140,27 +147,25 @@ def build_point(cfg: dict) -> GrassPoint:
 
 
 def _synthetic_point(kind: str, point_cfg: dict, model_cfg: dict) -> GrassPoint:
-    model = Model(int(model_cfg["p"]), model_cfg.get("case", "R"))
+    model = Model(_as_int(model_cfg["p"], "model.p"), model_cfg.get("case", "R"))
     ring = JetRing.scalar(model.p)
     if kind == "v_minus":
-        return v_minus(model, ring, int(point_cfg.get("shift", 0)))
+        return v_minus(model, ring, _as_int(point_cfg.get("shift", 0), "point.shift"))
     if kind == "lines":
         return lines_point(model, ring)
     if kind == "u_n":
-        return u_n_point(model, ring, int(point_cfg.get("n", 1)),
-                         int(point_cfg.get("N", -1)))
+        return u_n_point(model, ring, _as_int(point_cfg.get("n", 1), "point.n"),
+                         _as_int(point_cfg.get("N", -1), "point.N"))
     if kind == "frame":
         rows = []
         for row in point_cfg.get("rows", []):
-            if not isinstance(row, dict):
-                raise TypeError("frame rows must be position -> value objects")
+            if not isinstance(row, dict) or any(isinstance(v, bool) for v in row.values()):
+                raise TypeError("frame rows must be position -> rational objects")
             data = {int(k): Fraction(v) for k, v in row.items()}
-            rows.append(VSeries.from_positions(
-                model, ring, {k: ring.const(Cyclo.rational(model.p, v))
-                              for k, v in data.items()}))
+            rows.append(VSeries.from_positions(model, ring, data))
         tail = point_cfg.get("tail")
-        return build_frame(model, ring, rows,
-                           tail=None if tail is None else tuple(tail))
+        tail = None if tail is None else tuple(_as_int(t, "point.tail entry") for t in tail)
+        return build_frame(model, ring, rows, tail=tail)
     raise ConfigError("unknown point type %r" % kind)
 
 
@@ -291,13 +296,19 @@ def exit_code(report: dict) -> int:
 # ----------------------------------------------------------------- searches
 
 
-def prym_search_u_n(p: int, case: str, n: int, start: int = 2,
-                    floor: int = -12) -> dict:
-    """Scan N downward until the witness subspace becomes isotropic."""
+# the lowest N a witness scan tries
+SEARCH_FLOOR = -12
+
+
+def prym_search_u_n(p: int, case: str, n: int, start: int = 2) -> dict:
+    """Scan N from `start` down to `SEARCH_FLOOR` until the witness
+    subspace becomes isotropic; a start below the floor is a config error."""
+    if start < SEARCH_FLOOR:
+        raise ConfigError("--start %d is below the scan floor %d" % (start, SEARCH_FLOOR))
     model = Model(p, case)
     ring = JetRing.scalar(p)
     tried = []
-    for big_n in range(start, floor - 1, -1):
+    for big_n in range(start, SEARCH_FLOOR - 1, -1):
         U = u_n_point(model, ring, n, big_n)
         ok, witness = U.isotropy_check()
         tried.append({"N": big_n, "isotropic": ok,

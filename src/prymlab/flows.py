@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import WindowError
 from .jets import JetPoly, JetRing
 from .scalars import Cyclo
 from .vseries import BaseSeries, Model, VSeries, _isinf, flow_exponential, vseries_exp
@@ -29,8 +28,7 @@ class FlowCoords:
             raise ValueError("kind must be 'cover' or 'base'")
         clean = {}
         for key, c in coords.items():
-            if not isinstance(c, JetPoly):
-                c = ring.const(c)
+            c = ring.const(c)
             if not c.is_nilpotent():
                 raise ValueError("flow coordinates must be nilpotent")
             if c.is_zero():
@@ -224,27 +222,6 @@ def prop_prym_report(c: FlowCoords) -> dict:
     return report
 
 
-def abel_coords(model: Model, ring: JetRing, zbar_names, depth: int) -> FlowCoords:
-    """Abel-morphism coordinates t_j = zbar^j / j up to `depth`.
-
-    `zbar_names` is one nilpotent variable name per component (a single
-    name in the ramified case).
-    """
-    if isinstance(zbar_names, str):
-        zbar_names = [zbar_names]
-    coords = {}
-    for ci, name in enumerate(zbar_names):
-        zb = ring.var(name)
-        power = ring.one()
-        for j in range(1, depth + 1):
-            power = power * zb
-            if power.is_zero():
-                break
-            key = j if model.case == "R" else (ci + 1, j)
-            coords[key] = power * Fraction(1, j)
-    return FlowCoords(model, ring, "cover", coords)
-
-
 # ----------------------------------------------------------------- Pi elements
 
 
@@ -258,67 +235,21 @@ class PiElement:
         self.norm_constant = norm_constant
 
 
-def norm_constancy(g: VSeries, need_hi: int | None = None):
+def norm_constancy(g: VSeries):
     """(True, None) when Nm(g) is constant on the certified window, else
     (False, first offending z-exponent)."""
     nm = g.norm()
-    if need_hi is not None and not _isinf(nm.hi) and nm.hi < need_hi:
-        raise WindowError(
-            "norm certified only below z^%s" % (nm.hi,),
-            suggest=need_hi - nm.hi,
-        )
     offenders = sorted(e for e, c in nm.terms.items() if e != 0 and not c.is_zero())
     if offenders:
         return False, offenders[0]
     return True, None
 
 
-def pi_element(g: VSeries, need_hi: int | None = None) -> PiElement:
+def pi_element(g: VSeries) -> PiElement:
     """Certify g as an element of the group Pi (constant norm)."""
-    ok, offender = norm_constancy(g, need_hi)
+    ok, offender = norm_constancy(g)
     if not ok:
         raise ValueError("norm is not constant: z^%d coefficient is nonzero" % offender)
     nm = g.norm()
     return PiElement(g, nm.terms.get(0, g.ring.zero()))
 
-
-def gamma_factor(g: VSeries):
-    """Factor a unit with nilpotent principal part as
-    (monomial shifts, principal flow, constant, V+ unit); the shadow of
-    Gamma = j x G_m x Gamma+.
-    """
-    m, ring = g.model, g.ring
-    shifts = []
-    for ci in range(m.ncomp):
-        units = [e for e, c in g.comps[ci].items() if c.is_unit()]
-        if not units:
-            raise ValueError("not a unit at window resolution")
-        shifts.append(min(units))
-    data = [{e - shifts[ci]: c for e, c in g.comps[ci].items()}
-            for ci in range(m.ncomp)]
-    hi = g.hi if _isinf(g.hi) else g.hi - max(shifts)
-    work = VSeries(m, ring, data, g.lo - max(shifts), hi)
-    coords = {}
-    for _ in range(500):
-        worst = None
-        for ci in range(m.ncomp):
-            negs = [e for e, c in work.comps[ci].items() if e < 0]
-            if negs:
-                worst = (ci, min(negs)) if worst is None else min(
-                    worst, (ci, min(negs)), key=lambda t: t[1])
-        if worst is None:
-            break
-        ci, e = worst
-        c = work.comps[ci][e]
-        if not c.is_nilpotent():
-            raise ValueError("principal part is not nilpotent")
-        # exp(-c/w0 z^e) clears z^e to first order in c, w0 the unit at z^0
-        c = c * work.comps[ci][0].inverse()
-        key = -e if m.case == "R" else (ci + 1, -e)
-        coords[key] = coords.get(key, ring.zero()) + c
-        inv = flow_exponential(m, ring, {key: -c})
-        work = work * inv
-    else:
-        raise ValueError("principal part not cleared in 500 steps")
-    consts = [work.comps[ci].get(0, ring.zero()) for ci in range(m.ncomp)]
-    return shifts, FlowCoords(m, ring, "cover", coords), consts, work

@@ -655,7 +655,7 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
 
 
 def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor,
-                   pivots_full_below=False, max_pivot_bound=None) -> GrassPoint:
+                   pivots_full_below=False) -> GrassPoint:
     """Frame of the module generated by `gens` over products of `algebra`.
 
     Multiplies by the algebra generators until the pivot set stops growing
@@ -663,8 +663,7 @@ def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor,
     are dropped (their pivots fall outside the stored range).
     """
     frame = build_frame(model, ring, gens, phi=phi,
-                        pivots_full_below=pivots_full_below,
-                        max_pivot_bound=max_pivot_bound)
+                        pivots_full_below=pivots_full_below)
     while True:
         before = set(frame.rows)
         new_vectors = list(frame.rows.values())
@@ -679,8 +678,7 @@ def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor,
                     continue
                 new_vectors.append(prod)
         frame = build_frame(model, ring, new_vectors, phi=phi,
-                            pivots_full_below=pivots_full_below,
-                            max_pivot_bound=max_pivot_bound)
+                            pivots_full_below=pivots_full_below)
         if set(frame.rows) == before:
             return frame
 

@@ -2,15 +2,15 @@
 
 A `JetRing` fixes an ordered list of variable names and a total-degree cap
 D; every variable is nilpotent of order D+1 by fiat.  `JetPoly` is a sparse
-element of that ring with `Cyclo` coefficients.  Exponentials of cap-zero
-elements are finite sums, which is what makes every flow action in the
-package exact.
+element of that ring with `Cyclo` coefficients.  Every variable being
+nilpotent, the exponential of a series with nilpotent coefficients is a
+finite sum (`vseries.vseries_exp`), which is what makes every flow action
+in the package exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .scalars import Cyclo
 
@@ -110,6 +110,9 @@ class JetRing:
         return self.const(Cyclo.one(self.p))
 
     def const(self, value) -> "JetPoly":
+        """`value` as an element: a scalar becomes a constant, a jet stays as is."""
+        if isinstance(value, JetPoly):
+            return value
         if isinstance(value, (int, Fraction)):
             value = Cyclo.rational(self.p, value)
         if value.is_zero():
@@ -240,19 +243,6 @@ class JetPoly:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def exp(self) -> "JetPoly":
-        """exp of a nilpotent element: sum a^k / k! up to the cap."""
-        if not self.is_nilpotent():
-            raise ValueError("exp needs a nilpotent argument (zero constant term)")
-        out = self.ring.one()
-        power = self.ring.one()
-        for k in range(1, self.ring.cap + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            out = out + power * Fraction(1, factorial(k))
-        return out
 
     # -- variable maps -----------------------------------------------------
 

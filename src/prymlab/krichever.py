@@ -149,12 +149,12 @@ def _as_cyclo(c, p):
 
 
 class CurveExpansion:
-    """Cached exact expansions of x and y on a window."""
+    """Cached exact expansions of x and y on a window, over K = Q(xi_p)."""
 
-    def __init__(self, curve: CurveSpec, hi: int, ring: JetRing | None = None):
+    def __init__(self, curve: CurveSpec, hi: int):
         self.curve = curve
         self.model = curve.model()
-        self.ring = ring or JetRing.scalar(curve.p)
+        self.ring = JetRing.scalar(curve.p)
         self.hi = hi
         p, d = curve.p, curve.d
         m, R = self.model, self.ring
@@ -224,16 +224,15 @@ def _den_val(den: VSeries):
     return -min(vals) if vals else 0
 
 
-def puiseux_expand(curve: CurveSpec, hi: int, ring: JetRing | None = None) -> CurveExpansion:
+def puiseux_expand(curve: CurveSpec, hi: int) -> CurveExpansion:
     """Exact branch expansions of (x, y) certified below exponent `hi`."""
-    exp = CurveExpansion(curve, hi, ring)
+    exp = CurveExpansion(curve, hi)
     if not exp.check_defining_relation():
         raise AssertionError("defining relation failed on the window")
     return exp
 
 
-def algebra_point(curve: CurveSpec, depth: int, height: int | None = None,
-                  ring: JetRing | None = None) -> GrassPoint:
+def algebra_point(curve: CurveSpec, depth: int, height: int | None = None) -> GrassPoint:
     """Krichever point of the coordinate ring: echelon frame of the
     expansions of x^a y^b with pole order at most `depth`.
 
@@ -244,7 +243,7 @@ def algebra_point(curve: CurveSpec, depth: int, height: int | None = None,
     """
     if height is None:
         height = depth + 12
-    exp = puiseux_expand(curve, height, ring)
+    exp = puiseux_expand(curve, height)
     p, d = curve.p, curve.d
     gens = []
     if curve.case == "R":
@@ -266,13 +265,12 @@ def algebra_point(curve: CurveSpec, depth: int, height: int | None = None,
     return point
 
 
-def module_point(curve: CurveSpec, gens, depth: int, height: int | None = None,
-                 ring: JetRing | None = None) -> GrassPoint:
+def module_point(curve: CurveSpec, gens, depth: int, height: int | None = None) -> GrassPoint:
     """Krichever point of the coordinate-ring module spanned by `gens`
     (a list of FunctionRep): line-bundle sections via a fractional ideal."""
     if height is None:
         height = depth + 12
-    exp = puiseux_expand(curve, height, ring)
+    exp = puiseux_expand(curve, height)
     vecs = [exp.expand(F) for F in gens]
     algebra = [exp.x, exp.y]
     floor = exp.model.pos(1, -depth)

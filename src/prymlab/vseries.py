@@ -139,18 +139,8 @@ class BaseSeries:
         self.terms = terms
 
     @staticmethod
-    def zero(ring: JetRing) -> "BaseSeries":
-        return BaseSeries(ring, {}, 0, INF)
-
-    @staticmethod
     def one(ring: JetRing) -> "BaseSeries":
         return BaseSeries(ring, {0: ring.one()}, 0, INF)
-
-    @staticmethod
-    def monomial(ring: JetRing, e: int, coeff) -> "BaseSeries":
-        if not isinstance(coeff, JetPoly):
-            coeff = ring.const(coeff)
-        return BaseSeries(ring, {e: coeff}, e, INF)
 
     def coeff(self, e: int) -> JetPoly:
         if e >= self.hi:
@@ -176,7 +166,7 @@ class BaseSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo, JetPoly)):
-            c = other if isinstance(other, JetPoly) else self.ring.const(other)
+            c = self.ring.const(other)
             return BaseSeries(self.ring, {e: a * c for e, a in self.terms.items()},
                               self.lo, self.hi)
         if not isinstance(other, BaseSeries):
@@ -299,8 +289,7 @@ class VSeries:
     @staticmethod
     def monomial(model: Model, ring: JetRing, comp: int, e: int, coeff=1) -> "VSeries":
         """coeff * z^e in component comp (ramified: coeff * z1^e)."""
-        if not isinstance(coeff, JetPoly):
-            coeff = ring.const(coeff)
+        coeff = ring.const(coeff)
         comps = [{} for _ in range(model.ncomp)]
         comps[comp - 1] = {e: coeff}
         return VSeries(model, ring, comps, e, INF)
@@ -319,19 +308,17 @@ class VSeries:
         return VSeries.monomial(model, ring, i, 0)
 
     @staticmethod
-    def from_positions(model: Model, ring: JetRing, data: dict, plo=None, phi=INF) -> "VSeries":
-        """Build from {linear position: coefficient}; window given in positions."""
+    def from_positions(model: Model, ring: JetRing, data: dict, phi=INF) -> "VSeries":
+        """Build from {linear position: coefficient}, certified below position `phi`."""
         comps = [{} for _ in range(model.ncomp)]
         for n, c in data.items():
-            if not isinstance(c, JetPoly):
-                c = ring.const(c)
+            c = ring.const(c)
             if c.is_zero():
                 continue
             comp, e = model.unpos(n)
             comps[comp - 1][e] = comps[comp - 1].get(e, ring.zero()) + c
-        exp_lo = None if plo is None else model.exp_window(plo, phi)[0]
-        exp_hi = INF if _isinf(phi) else model.exp_window(0 if plo is None else plo, phi)[1]
-        return VSeries(model, ring, comps, exp_lo, exp_hi)
+        exp_hi = INF if _isinf(phi) else model.exp_window(0, phi)[1]
+        return VSeries(model, ring, comps, None, exp_hi)
 
     # -- basic views --------------------------------------------------------
 
@@ -410,8 +397,7 @@ class VSeries:
 
     def scale(self, c) -> "VSeries":
         """Multiply by a scalar or jet element (no z-dependence)."""
-        if not isinstance(c, JetPoly):
-            c = self.ring.const(c)
+        c = self.ring.const(c)
         return VSeries(self.model, self.ring,
                        [{e: a * c for e, a in d.items()} for d in self.comps],
                        self.lo, self.hi)
@@ -646,8 +632,7 @@ def flow_exponential(model: Model, ring: JetRing, coords) -> VSeries:
             i, j = 1, key
         if j < 1:
             raise ValueError("flow indices start at 1")
-        if not isinstance(c, JetPoly):
-            c = ring.const(c)
+        c = ring.const(c)
         if not c.is_nilpotent():
             raise ValueError("flow coefficients must be nilpotent")
         if model.case == RAMIFIED and i != 1:

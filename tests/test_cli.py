@@ -8,6 +8,7 @@ import pytest
 
 from prymlab.baker import residue_identity_eval, wave_solve_blocked
 from prymlab.cli import (
+    SEARCH_FLOOR,
     build_point,
     exit_code,
     main,
@@ -99,6 +100,15 @@ def test_u_n_search():
     assert result["threshold_N"] == -1
     result_nr = prym_search_u_n(2, "NR", 1, start=2)
     assert result_nr["threshold_N"] == -1
+
+
+def test_a_search_starting_below_its_floor_is_a_config_error(capsys):
+    # it would scan nothing and exit 0 with threshold_N null, the answer of
+    # a scan that finds nothing
+    _one_line_config_error(capsys, main(["prym-search", "--start",
+                                         str(SEARCH_FLOOR - 1)]))
+    assert [t["N"] for t in prym_search_u_n(2, "R", 1, start=SEARCH_FLOOR)["trace"]] \
+        == [SEARCH_FLOOR]
 
 
 def test_main_entry(tmp_path):
@@ -245,6 +255,8 @@ def test_usage_error_is_a_config_error(tmp_path, capsys):
     ("expect", {"gaps": 1}),
     ("expect", {"connectedness": [True, True]}),
     ("expect", {"connectedness": {"1": "true", "2": True}}),
+    ("curve", {"p": 2.7, "f": ["-1", "0", "0", "0", "0", "1"]}),  # would run p = 2
+    ("curve", {"p": "3", "f": ["-1", "0", "0", "0", "0", "1"]}),  # would run p = 3
 ])
 def test_bad_numeric_config_is_a_config_error(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -393,11 +405,24 @@ def test_bad_module_generators_are_a_config_error(tmp_path, capsys, generators):
     {"type": "v_minus", "shift": None},        # TypeError
     {"type": "frame", "rows": [{"0": "1/0"}]},  # ZeroDivisionError
     {"type": "frame", "rows": "abc"},           # rows that are not objects
+    {"type": "u_n", "n": 1.5},                  # would run n = 1 and pass
+    {"type": "u_n", "N": "-1"},
+    {"type": "v_minus", "shift": 1.9},          # would run shift 1
+    {"type": "frame", "rows": [{"0": True}]},   # would read as 1
+    {"type": "frame", "rows": [{"0": "1"}], "tail": [0.5]},
 ])
 def test_bad_synthetic_values_are_a_config_error(tmp_path, capsys, point):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": {"p": 2, "case": "R"}, "point": point,
                                     "checks": ["chi"]}))
+    _one_line_config_error(capsys, main(["--config", str(cfg_path), "check"]))
+
+
+@pytest.mark.parametrize("p", [2.0, "3"])  # each would run as the integer
+def test_a_model_p_that_is_not_an_integer_is_a_config_error(tmp_path, capsys, p):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"p": p, "case": "R"},
+                                    "point": {"type": "v_minus"}, "checks": ["chi"]}))
     _one_line_config_error(capsys, main(["--config", str(cfg_path), "check"]))
 
 

@@ -5,11 +5,8 @@ import pytest
 
 from conftest import rand_scalar
 
-from prymlab import flows
 from prymlab.flows import (
     FlowCoords,
-    abel_coords,
-    gamma_factor,
     jac_coord_map,
     norm_constancy,
     pi_element,
@@ -19,7 +16,7 @@ from prymlab.flows import (
 )
 from prymlab.jets import JetRing
 from prymlab.scalars import Cyclo
-from prymlab.vseries import Model, VSeries, flow_exponential
+from prymlab.vseries import Model, VSeries
 
 
 def cover_ring(p, nvars, cap=2, label="t"):
@@ -227,30 +224,6 @@ def test_fixed_coords_under_sigma_star():
     assert jac_coord_map("sigma_star", c) == c
 
 
-# ------------------------------------------------------------- Abel morphism
-
-
-def test_abel_coords():
-    m = Model(2, "R")
-    R = JetRing(2, ("zb",), cap=3)
-    a = abel_coords(m, R, "zb", 3)
-    zb = R.var("zb")
-    assert a.coords == {1: zb, 2: zb * zb * Fraction(1, 2),
-                        3: zb * zb * zb * Fraction(1, 3)}
-    R1 = JetRing(2, ("zb",), cap=1)
-    assert abel_coords(m, R1, "zb", 3).coords == {1: R1.var("zb")}
-
-
-def test_abel_composed_with_complement():
-    m = Model(3, "R")
-    R = JetRing(3, ("zb",), cap=2)
-    a = abel_coords(m, R, "zb", 4)
-    proj = prym_complement(a)
-    assert prym_membership_coords(proj)
-    for j, v in proj.coords.items():
-        assert j % 3 != 0 and v == a.get(j) * 3
-
-
 # ------------------------------------------------------------- Pi certification
 
 
@@ -281,51 +254,3 @@ def test_pi_element_accepts_constants():
         ok, val = pe.norm_constant.constant_term().is_rational()
         assert ok and val == Fraction(5, 3) ** p
 
-
-def test_gamma_factorization():
-    rng = random.Random(5)
-    for case, p in (("R", 2), ("NR", 2), ("R", 3)):
-        m = Model(p, case)
-        R = JetRing(p, ("a1", "a2"), cap=2)
-        for _ in range(4):
-            coords = ({1: R.var("a1"), 2: R.var("a2")} if case == "R"
-                      else {(1, 1): R.var("a1"), (2, 2): R.var("a2")})
-            g = flow_exponential(m, R, coords)
-            # multiply in a constant and a plus-part unit
-            plus = VSeries(m, R, [{0: R.one(), 1: R.const(rng.randint(1, 3))}
-                                  for _ in range(m.ncomp)], 0)
-            g = g * plus * VSeries.one(m, R).scale(2)
-            shifts, fc, consts, work = gamma_factor(g)
-            assert all(s == 0 for s in shifts)
-            recomposed = fc.element() * work
-            assert recomposed.comps == g.comps
-
-
-def test_gamma_factor_recovers_the_principal_flow():
-    # g = exp(flow) * 2 * (plus unit): the flow comes back, and the V+
-    # factor has no negative exponents left
-    rng = random.Random(6)
-    for case, p in (("R", 2), ("NR", 2), ("R", 3), ("NR", 3)):
-        m = Model(p, case)
-        R = JetRing(p, ("a1", "a2"), cap=2)
-        coords = ({1: R.var("a1"), 2: R.var("a2", 3)} if case == "R"
-                  else {(1, 1): R.var("a1"), (2, 2): R.var("a2", 3)})
-        plus = VSeries(m, R, [{0: R.one(), 1: R.const(rng.randint(1, 3))}
-                              for _ in range(m.ncomp)], 0)
-        g = flow_exponential(m, R, coords) * plus * VSeries.one(m, R).scale(2)
-        shifts, fc, consts, work = gamma_factor(g)
-        assert all(e >= 0 for d in work.comps for e in d)
-        assert {k: v for k, v in fc.coords.items() if not v.is_zero()} == coords
-        assert consts == [R.const(2)] * m.ncomp
-
-
-def test_gamma_factor_raises_when_its_step_cap_runs_out(monkeypatch):
-    # a flow step that clears nothing: the loop must not return the
-    # partial factorization it holds after 500 steps
-    m = Model(2, "R")
-    R = JetRing(2, ("a1",), cap=2)
-    g = flow_exponential(m, R, {1: R.var("a1")})
-    monkeypatch.setattr(flows, "flow_exponential",
-                        lambda model, ring, coords: VSeries.one(model, ring))
-    with pytest.raises(ValueError, match="500 steps"):
-        gamma_factor(g)

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -36,33 +35,6 @@ def test_coefficient_extraction():
     sq = (t1 + t2) * (t1 + t2)
     i1, i2 = R.index["t1"], R.index["t2"]
     assert sq.coeff(((i1, 1), (i2, 1))) == Cyclo.rational(2, 2)
-
-
-def test_exp_basics():
-    R = JetRing(2, ("t1", "t2"), cap=2)
-    t1, t2 = R.var("t1"), R.var("t2")
-    e = t1.exp()
-    assert e == R.one() + t1 + t1 * t1 * Fraction(1, 2)
-    assert ((t1 + t2).exp() * (-(t1 + t2)).exp()) == R.one()
-    R1 = JetRing(2, ("t2",), cap=1)
-    assert (R1.var("t2") * 3).exp() == R1.one() + R1.var("t2") * 3
-
-
-@pytest.mark.parametrize("cap", [1, 2, 3, 4])
-def test_exp_group_law(cap):
-    rng = random.Random(100 + cap)
-    R = JetRing(3, ("t1", "t2", "t3"), cap=cap)
-    for _ in range(8):
-        a = sum((R.var(n, rng.randint(-3, 3)) for n in R.names), R.zero())
-        b = sum((R.var(n, rng.randint(-3, 3)) for n in R.names), R.zero())
-        assert (a + b).exp() == a.exp() * b.exp()
-        assert a.exp() * (-a).exp() == R.one()
-
-
-def test_exp_requires_nilpotent():
-    R = JetRing(2, ("t1",), cap=2)
-    with pytest.raises(ValueError):
-        (R.one() + R.var("t1")).exp()
 
 
 def test_inverse_requires_unit():
@@ -129,6 +101,15 @@ def test_constants_hash_as_their_values():
     xi = Cyclo.xi_power(3, 1)
     assert R.const(xi) == xi and hash(R.const(xi)) == hash(xi)
     assert len({R.const(3), Cyclo.rational(3, 3), Fraction(3)}) == 1
+
+
+def test_const_returns_a_jet_unchanged():
+    # wrapping a jet as the constant coefficient of a new jet would make
+    # `R.const(t) == t` False
+    R = JetRing(3, ("t1",), cap=2)
+    t = R.var("t1") + 2
+    assert R.const(t) is t
+    assert R.const(R.const(5)) == R.const(5) == 5
 
 
 def test_doctests_run():
@@ -220,15 +201,6 @@ class _RefJet:
             out = out + power * sign
             sign = -sign
         return out * self._new({(): c0_inv})
-
-    def exp(self):
-        out, power = self.one(), self.one()
-        for k in range(1, self.cap + 1):
-            power = power * self
-            if not power.terms:
-                break
-            out = out + power * Fraction(1, factorial(k))
-        return out
 
     def map_vars(self, names, cap, mapping):
         t = {}
@@ -333,8 +305,8 @@ def test_integer_keys_match_reference(p, nvars):
             if c0:
                 _same(a.inverse(), ra.inverse())
                 assert a * a.inverse() == R.one()
-            n, rn = _rand_pair(rng, R, nterms, nilpotent=True)
-            _same(n.exp(), rn.exp())
+            # a nilpotent draw that every later random input depends on
+            _rand_pair(rng, R, nterms, nilpotent=True)
             for low in range(cap):
                 _same(a.truncate(low), ra.truncate(low))
             # a substitution that scales, renames and merges variables,
