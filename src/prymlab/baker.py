@@ -103,7 +103,8 @@ class BAFunction(NamedTuple):
 
 def baker_akhiezer(U: GrassPoint, coords) -> BAFunction:
     """Wave family of U with flow coordinates `coords`, a dict of flow
-    index (j, or (i, j) in the non-ramified model) -> jet coefficient.
+    index (j, or (i, j) in the non-ramified model) -> jet coefficient of
+    U's ring.
 
     Off the big cell the family is the frame-complement normalization
     described in the module docstring, and `big_cell` is False.  A solve
@@ -111,10 +112,6 @@ def baker_akhiezer(U: GrassPoint, coords) -> BAFunction:
     extension that would supply them.
     """
     model, ring = U.model, U.ring
-    ring2 = next((c.ring for c in coords.values() if hasattr(c, "ring")), None)
-    if ring2 is not None and not ring.compatible(ring2):
-        U = U.lifted(ring2)
-        ring = ring2
     m = U.index_chi()
     zone = _zone(model, m)
     E = v_over_z(model, ring, m) * flow_exponential(model, ring, coords)

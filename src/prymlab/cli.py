@@ -19,7 +19,8 @@ from .baker import IDENTITIES, certified_identity, identity
 from .errors import ConfigError, FrameError, PrymlabError, WindowError
 from .grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from .jets import JetRing
-from .krichever import CurveSpec, FunctionRep, algebra_point, curve_invariants, module_point
+from .krichever import (CurveSpec, FunctionRep, algebra_point, curve_invariants, module_point,
+                        rational_from_json)
 from .scalars import Cyclo
 from .vseries import Model, VSeries
 
@@ -113,7 +114,7 @@ def parse_config(obj: dict) -> dict:
 def _curve_from_config(cfg) -> CurveSpec:
     cur = cfg["curve"]
     try:
-        coeffs = [Fraction(c) for c in cur["f"]]
+        coeffs = [rational_from_json(c) for c in cur["f"]]
         return CurveSpec(_as_int(cur["p"], "curve.p"), coeffs)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError("bad curve description: %s" % e)
@@ -159,9 +160,9 @@ def _synthetic_point(kind: str, point_cfg: dict, model_cfg: dict) -> GrassPoint:
     if kind == "frame":
         rows = []
         for row in point_cfg.get("rows", []):
-            if not isinstance(row, dict) or any(isinstance(v, bool) for v in row.values()):
+            if not isinstance(row, dict):
                 raise TypeError("frame rows must be position -> rational objects")
-            data = {int(k): Fraction(v) for k, v in row.items()}
+            data = {int(k): rational_from_json(v) for k, v in row.items()}
             rows.append(VSeries.from_positions(model, ring, data))
         tail = point_cfg.get("tail")
         tail = None if tail is None else tuple(_as_int(t, "point.tail entry") for t in tail)

@@ -96,13 +96,10 @@ class FlowCoords:
 
 def base_to_v(model: Model, ring: JetRing, b: BaseSeries) -> VSeries:
     """Image of a z-series under the inclusion of the base into V."""
-    if model.case == "R":
-        comps = [{model.p * e: c for e, c in b.terms.items()}]
-        lo = model.p * b.lo
-        hi = b.hi if _isinf(b.hi) else model.p * b.hi
-        return VSeries(model, ring, comps, lo, hi)
-    comps = [dict(b.terms) for _ in range(model.p)]
-    return VSeries(model, ring, comps, b.lo, b.hi)
+    r = model.ramification_index()
+    return VSeries(model, ring, [{r * e: c for e, c in b.terms.items()}
+                                 for _ in range(model.ncomp)],
+                   r * b.lo, b.hi if _isinf(b.hi) else r * b.hi)
 
 
 # ----------------------------------------------------------------- coordinate maps
@@ -236,20 +233,19 @@ class PiElement:
 
 
 def norm_constancy(g: VSeries):
-    """(True, None) when Nm(g) is constant on the certified window, else
-    (False, first offending z-exponent)."""
+    """(True, the constant) when Nm(g) is constant on the certified window,
+    else (False, first offending z-exponent)."""
     nm = g.norm()
     offenders = sorted(e for e, c in nm.terms.items() if e != 0 and not c.is_zero())
     if offenders:
         return False, offenders[0]
-    return True, None
+    return True, nm.terms.get(0, g.ring.zero())
 
 
 def pi_element(g: VSeries) -> PiElement:
     """Certify g as an element of the group Pi (constant norm)."""
-    ok, offender = norm_constancy(g)
+    ok, value = norm_constancy(g)
     if not ok:
-        raise ValueError("norm is not constant: z^%d coefficient is nonzero" % offender)
-    nm = g.norm()
-    return PiElement(g, nm.terms.get(0, g.ring.zero()))
+        raise ValueError("norm is not constant: z^%d coefficient is nonzero" % value)
+    return PiElement(g, value)
 

@@ -114,15 +114,6 @@ class GrassPoint:
                           pivots_full_below=self.pivots_full_below,
                           max_pivot_bound=self.max_pivot_bound)
 
-    def _aligned(self, v: VSeries):
-        """Common-ring view of (frame, vector)."""
-        if self.ring.compatible(v.ring):
-            return self, v
-        try:
-            return self, v.lift(self.ring)
-        except ValueError:
-            return self.lifted(v.ring), v
-
     def d_full(self) -> int:
         """Largest d such that every position below d is certified a pivot."""
         if not self.pivots_full_below:
@@ -154,11 +145,11 @@ class GrassPoint:
 
         Returns (residual, blocked): `blocked` lists positions where a
         non-materialized deep row would be needed.  The residual is
-        certified below min(v window, frame window).
+        certified below min(v window, frame window).  v must be over the
+        frame's jet ring (`ValueError` otherwise).
         """
-        frame, v = self._aligned(v)
-        if frame is not self:
-            return frame.reduce(v)
+        if not self.ring.compatible(v.ring):
+            raise ValueError("mixed jet rings")
         hi = v.hi
         if not _isinf(self.phi):
             hi = min(hi, self.model.exp_window(0, self.phi)[1])
@@ -183,12 +174,16 @@ class GrassPoint:
         reduction takes one pass; a jet row's nilpotent entries below its
         pivot can need more.  Returns (lo, hi, blocked), `blocked` as for
         `reduce`; [lo, hi) is the common window of the input and every row
-        used.
+        used.  Only a full-below frame without a tail can block: a tail
+        holds every position under the floor that no row holds.  Such a
+        frame is complete before it is read (`build_frame`'s shell is not
+        full below), so its floor is computed once.
         """
         m = self.model
         rows, tail = self.rows, self.tail
         blocked = set()
-        floor = self.stored_floor()
+        floor = self.once("floor", self.stored_floor) \
+            if self.pivots_full_below and tail is None else None
         for _ in range(self.ring.cap + 2):
             below = False
             todo = [m.pos(ci + 1, e) for ci, d in enumerate(comps) for e in d]
@@ -235,7 +230,7 @@ class GrassPoint:
                                     del d[e2]
                                 else:
                                     d[e2] = s
-                elif floor is not None and n < floor and self.pivots_full_below:
+                elif floor is not None and n < floor:
                     blocked.add(n)
             if not below:
                 break
@@ -366,9 +361,10 @@ class GrassPoint:
     # ------------------------------------------------------------------ group action
 
     def group_act(self, g: VSeries) -> "GrassPoint":
-        """The point g.U for an invertible g (unit leading data per component)."""
+        """The point g.U for an invertible g (unit leading data per
+        component); a g over a larger jet ring acts on the lifted frame."""
         m = self.model
-        base, g = self._aligned(g)
+        base = self.lifted(g.ring)
         shifts, reaches = [], []
         for ci in range(m.ncomp):
             d = g.comps[ci]
@@ -425,18 +421,11 @@ class GrassPoint:
         if self.tail is not None:
             top = max([u for _, u, _ in out], default=0)
             need = -1 - (m.p - 1) * max(top, 0)
-            for i in range(m.ncomp):
-                if m.case == "R":
-                    n = self.tail[i] - 1
-                    while n // m.p >= need:
-                        out.append((VSeries.basis(m, self.ring, n), n // m.p, n))
-                        n -= 1
-                else:
-                    e = self.tail[i] - 1
-                    while e >= need:
-                        mono = VSeries.monomial(m, self.ring, i + 1, e)
-                        out.append((mono, e, m.pos(i + 1, e)))
-                        e -= 1
+            for i, t in enumerate(self.tail):
+                n = m.pos(i + 1, t - 1)
+                while n // m.p >= need:
+                    out.append((VSeries.basis(m, self.ring, n), n // m.p, n))
+                    n -= m.ncomp
         return out
 
     def isotropy_check(self):
@@ -593,7 +582,7 @@ class GrassPoint:
         m = self.model
         rows = []
         floor = self.stored_floor()
-        depth_pos = m.pos(1, -depth) if m.case == "NR" else -depth
+        depth_pos = m.pos(1, -depth)
         for n in sorted(self.rows):
             r = self.rows[n]
             if self.tail is None and floor is not None:
@@ -627,8 +616,6 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
                        pivots_full_below=False,
                        max_pivot_bound=0 if max_pivot_bound is None else max_pivot_bound)
     for v in vectors:
-        if not ring.compatible(v.ring):
-            v = v.lift(ring)
         residual, _ = shell.reduce(v)
         if residual.is_zero_certified():
             continue
@@ -654,31 +641,26 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
     return shell
 
 
-def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor,
-                   pivots_full_below=False) -> GrassPoint:
-    """Frame of the module generated by `gens` over products of `algebra`.
+def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor) -> GrassPoint:
+    """Frame of the module generated by `gens` over products of `algebra`,
+    full below its stored window.
 
     Multiplies by the algebra generators until the pivot set stops growing
     between `floor` and the window top; products diving below the floor
     are dropped (their pivots fall outside the stored range).
     """
-    frame = build_frame(model, ring, gens, phi=phi,
-                        pivots_full_below=pivots_full_below)
+    frame = build_frame(model, ring, gens, phi=phi, pivots_full_below=True)
     while True:
         before = set(frame.rows)
         new_vectors = list(frame.rows.values())
         for a in algebra:
             for r in list(frame.rows.values()):
                 prod = a * r
-                lo_p, hi_p = prod.pos_window()
-                if not _isinf(hi_p) and hi_p <= lo_p:
-                    continue
                 lead = prod.leading_position()
                 if lead is None or lead < floor:
                     continue
                 new_vectors.append(prod)
-        frame = build_frame(model, ring, new_vectors, phi=phi,
-                            pivots_full_below=pivots_full_below)
+        frame = build_frame(model, ring, new_vectors, phi=phi, pivots_full_below=True)
         if set(frame.rows) == before:
             return frame
 

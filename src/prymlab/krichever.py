@@ -4,10 +4,11 @@ Grassmannian points.
 The affine curve is smooth (f squarefree); the fiber over infinity is a
 single totally ramified point when p does not divide deg f and a free
 orbit of p points otherwise, matching the two local models.  Expansions
-use the exact parameter x = z1^{-p} (ramified) or x = z^{-1} per branch
-(non-ramified), with the y-branch from the principal p-th root; the
-model's root of unity is aligned so that the deck transformation
-y -> zeta*y acts on expansions exactly as the model's sigma.
+use the exact parameter x = z^{-1}, z = z1^r for the ramification index r
+(z1^{-p} ramified, z^{-1} on each of the p branches non-ramified), with
+the y-branch from the principal p-th root; the model's root of unity is
+aligned so that the deck transformation y -> zeta*y acts on expansions
+exactly as the model's sigma.
 """
 
 from __future__ import annotations
@@ -27,55 +28,43 @@ from .vseries import (
 )
 
 
-def _poly_scale(coeffs, p):
-    out = []
-    for c in coeffs:
-        if isinstance(c, Cyclo):
-            out.append(c)
-        else:
-            out.append(Cyclo.rational(p, Fraction(c)))
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _poly_deriv(f, p):
-    return _poly_scale([c * k for k, c in enumerate(f)][1:] or [0], p)
-
-
-def _poly_mod(a, b, p):
+def _poly_mod(a, b):
     a = list(a)
-    inv = b[-1].inverse()
+    inv = 1 / b[-1]
     while len(a) >= len(b) and a:
         c = a[-1] * inv
         for j, bj in enumerate(b):
-            a[len(a) - len(b) + j] = a[len(a) - len(b) + j] - c * bj
-        while a and a[-1].is_zero():
+            a[len(a) - len(b) + j] -= c * bj
+        while a and not a[-1]:
             a.pop()
     return a
 
 
-def _is_squarefree(f, p) -> bool:
-    a, b = f, _poly_deriv(f, p)
+def _is_squarefree(f) -> bool:
+    """gcd(f, f') is constant; over Q, which decides it over Q(xi_p) too."""
+    a, b = f, [k * c for k, c in enumerate(f)][1:]
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        a, b = b, _poly_mod(a, b)
     return len(a) == 1
 
 
 class CurveSpec:
-    """The cover y^p = f(x): p prime, f monic squarefree of degree d."""
+    """The cover y^p = f(x): p prime, f monic squarefree of degree d, its
+    coefficients (constant first) held as `Fraction`s."""
 
     __slots__ = ("p", "f", "d", "case")
 
     def __init__(self, p: int, f_coeffs):
         if not is_prime(p):
             raise ValueError("p must be prime")
-        f = _poly_scale(f_coeffs, p)
+        f = [Fraction(c) for c in f_coeffs]
+        while f and not f[-1]:
+            f.pop()
         if len(f) < 2:
             raise ValueError("f must be non-constant")
-        if f[-1] != Cyclo.one(p):
+        if f[-1] != 1:
             raise ValueError("f must be monic")
-        if not _is_squarefree(f, p):
+        if not _is_squarefree(f):
             raise ValueError("f must be squarefree (smooth affine model)")
         self.p = p
         self.f = f
@@ -121,7 +110,7 @@ class FunctionRep:
         zeta = Cyclo.xi_power(p, 1)
 
         def tw(d):
-            return {(a, b): _as_cyclo(c, p) * (zeta ** b) for (a, b), c in d.items()}
+            return {(a, b): zeta ** b * c for (a, b), c in d.items()}
 
         return FunctionRep(tw(self.num), tw(self.den))
 
@@ -138,46 +127,50 @@ class FunctionRep:
 def _terms_from_json(items):
     out = {}
     for a, b, c in items:
-        out[(int(a), int(b))] = Fraction(c)
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in (a, b)):
+            raise TypeError("exponents must be integers, not %r" % ([a, b],))
+        out[(a, b)] = rational_from_json(c)
     return out
 
 
-def _as_cyclo(c, p):
-    if isinstance(c, Cyclo):
-        return c
-    return Cyclo.rational(p, Fraction(c))
+def rational_from_json(x) -> Fraction:
+    """A rational from a config: a JSON integer or a string ("a/b", or
+    "0.1" for 1/10).  A JSON float holds the nearest binary double, not the
+    decimal it was written as, so it is refused, as are true and false."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError("a rational must be an integer or a string, not %r" % (x,))
+    return Fraction(x)
 
 
 class CurveExpansion:
-    """Cached exact expansions of x and y on a window, over K = Q(xi_p)."""
+    """Cached exact expansions of x and y on a window, over K = Q(xi_p).
+
+    Both local models read the ramification index r = p // ncomp of the
+    marked fibre (z = z1^r): x = z^-1 has exponent -r on every branch, and
+    y = z^(-d/p) (z^d f(1/z))^(1/p) is one principal p-th root shifted by
+    -rd/p, its branch i twisted by xi^-(i-1).
+
+    >>> R = CurveExpansion(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 8)      # y^2 = x^5 - 1, r = 2
+    >>> [list(b) for b in R.x.comps], [min(b) for b in R.y.comps]
+    ([[-2]], [-5])
+    >>> NR = CurveExpansion(CurveSpec(2, [-1, 0, 0, 0, 0, 0, 1]), 8)  # y^2 = x^6 - 1, r = 1
+    >>> [list(b) for b in NR.x.comps], [min(b) for b in NR.y.comps]
+    ([[-1], [-1]], [-3, -3])
+    """
 
     def __init__(self, curve: CurveSpec, hi: int):
         self.curve = curve
-        self.model = curve.model()
-        self.ring = JetRing.scalar(curve.p)
+        self.model = m = curve.model()
+        self.ring = R = JetRing.scalar(curve.p)
         self.hi = hi
-        p, d = curve.p, curve.d
-        m, R = self.model, self.ring
+        p, d, r = curve.p, curve.d, m.ramification_index()
+        s = r * d // p
         self._monomials = {(0, 0): VSeries.one(m, R)}
-        if curve.case == "R":
-            # x = z1^{-p} exactly; y = z1^{-d} * (z1^{pd} f(z1^{-p}))^{1/p}
-            self.x = VSeries.monomial(m, R, 1, -p)
-            w = {p * (d - k): R.const(c) for k, c in enumerate(curve.f)}
-            base = BaseSeries(R, w, 0, hi + d)
-            u = pth_root_series(base, p)
-            self.y = VSeries(m, R, [{e - d: c for e, c in u.terms.items()}],
-                             -d, hi)
-        else:
-            self.x = VSeries(m, R, [{-1: R.one()} for _ in range(p)], -1, INF)
-            w = {d - k: R.const(c) for k, c in enumerate(curve.f)}
-            base = BaseSeries(R, w, 0, hi + d // p)
-            u = pth_root_series(base, p)
-            zeta = m.xi
-            comps = []
-            for i in range(1, p + 1):
-                scale = zeta ** ((1 - i) % p)
-                comps.append({e - d // p: c * scale for e, c in u.terms.items()})
-            self.y = VSeries(m, R, comps, -d // p, hi)
+        self.x = VSeries(m, R, [{-r: R.one()} for _ in range(m.ncomp)], -r, INF)
+        w = {r * (d - k): R.const(c) for k, c in enumerate(curve.f)}
+        u = pth_root_series(BaseSeries(R, w, 0, hi + s), p).terms
+        self.y = VSeries(m, R, [{e - s: c * m.xi_pow(-i) if i else c for e, c in u.items()}
+                                for i in range(m.ncomp)], -s, hi)
 
     def check_defining_relation(self) -> bool:
         """y^p - f(x) = 0 on the certified window."""
@@ -215,7 +208,7 @@ class CurveExpansion:
     def _combo(self, terms) -> VSeries:
         out = VSeries.zero(self.model, self.ring)
         for (a, b), c in sorted(terms.items()):
-            out = out + self.monomial(a, b).scale(_as_cyclo(c, self.curve.p))
+            out = out + self.monomial(a, b).scale(c)
         return out
 
 
@@ -244,25 +237,15 @@ def algebra_point(curve: CurveSpec, depth: int, height: int | None = None) -> Gr
     if height is None:
         height = depth + 12
     exp = puiseux_expand(curve, height)
-    p, d = curve.p, curve.d
-    gens = []
-    if curve.case == "R":
-        for b in range(p):
-            for a in range((depth - d * b) // p + 1):
-                if p * a + d * b <= depth:
-                    gens.append(exp.monomial(a, b))
-    else:
-        dp = d // p
-        for b in range(p):
-            for a in range(depth - dp * b + 1):
-                if a + dp * b <= depth:
-                    gens.append(exp.monomial(a, b))
-    phis = [g.pos_window()[1] for g in gens]
-    point = build_frame(exp.model, exp.ring, gens,
-                        phi=min(phis),
-                        pivots_full_below=True,
-                        max_pivot_bound=exp.model.p - 1 if curve.case == "NR" else 0)
-    return point
+    p, m = curve.p, exp.model
+    r = m.ramification_index()
+    s = r * curve.d // p
+    # x^a y^b has pole order r*a + s*b in z1 (ramified) or z (non-ramified)
+    gens = [exp.monomial(a, b) for b in range(p) for a in range((depth - s * b) // r + 1)]
+    return build_frame(m, exp.ring, gens,
+                       phi=min(g.pos_window()[1] for g in gens),
+                       pivots_full_below=True,
+                       max_pivot_bound=m.pos(m.ncomp, 0))
 
 
 def module_point(curve: CurveSpec, gens, depth: int, height: int | None = None) -> GrassPoint:
@@ -276,7 +259,7 @@ def module_point(curve: CurveSpec, gens, depth: int, height: int | None = None) 
     floor = exp.model.pos(1, -depth)
     point = module_closure(exp.model, exp.ring, vecs, algebra,
                            phi=min(v.pos_window()[1] for v in vecs),
-                           floor=floor, pivots_full_below=True)
+                           floor=floor)
     if not point.rows:
         raise ValueError("every generator expands to zero in the window")
     return point

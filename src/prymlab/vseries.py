@@ -91,9 +91,10 @@ class Model:
             return -self.p - n
         return -self.p - n + 2 * (n % self.p)
 
-    def pairing_unit(self) -> int:
-        """Value of <basis_n, basis_reflect(n)>: p ramified, 1 non-ramified."""
-        return self.p if self.case == RAMIFIED else 1
+    def ramification_index(self) -> int:
+        """r = p // ncomp: z = z1^r at the marked fibre (p ramified, 1
+        non-ramified); also the value of <basis_n, basis_reflect(n)>."""
+        return self.p // self.ncomp
 
     def pos_window(self, lo: int, hi):
         """Exponent window -> linearized position window."""

@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,9 @@ def test_usage_error_is_a_config_error(tmp_path, capsys):
     ("expect", {"connectedness": {"1": "true", "2": True}}),
     ("curve", {"p": 2.7, "f": ["-1", "0", "0", "0", "0", "1"]}),  # would run p = 2
     ("curve", {"p": "3", "f": ["-1", "0", "0", "0", "0", "1"]}),  # would run p = 3
+    ("curve", {"p": 2, "f": [-1, 0, 0, 0, 0, 1.0]}),       # would run as 1
+    ("curve", {"p": 2, "f": [-1, 0, 0, 0, 0, True]}),      # would read as 1
+    ("curve", {"p": 2, "f": [-1, 0, 0, 0, 0.1, 1]}),       # would hold the double 0.1
 ])
 def test_bad_numeric_config_is_a_config_error(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -394,6 +398,9 @@ def test_identity_subcommand_takes_every_conn_of_the_model(tmp_path, capsys):
     [{"num": [[0, 0, "1"]], "den": [[0, 0, "0"]]}],   # ZeroDivisionError
     [[0, 0]],                                         # TypeError
     [[[0, 0, "0"]]],                                  # a zero module: chi 1, gaps []
+    [[[1.5, 0, "1"]]],                                # would read as x
+    [[[0, True, "1"]]],                               # would read as y
+    [[[0, 0, 0.5]]],                                  # a float coefficient
 ])
 def test_bad_module_generators_are_a_config_error(tmp_path, capsys, generators):
     path = _y2x6_config(tmp_path, point={"type": "module", "generators": generators})
@@ -410,12 +417,21 @@ def test_bad_module_generators_are_a_config_error(tmp_path, capsys, generators):
     {"type": "v_minus", "shift": 1.9},          # would run shift 1
     {"type": "frame", "rows": [{"0": True}]},   # would read as 1
     {"type": "frame", "rows": [{"0": "1"}], "tail": [0.5]},
+    {"type": "frame", "rows": [{"2": 1, "3": 0.1}], "tail": [-5]},  # a binary double
+    {"type": "frame", "rows": [{"0": 1.0}]},                         # would read as 1
 ])
 def test_bad_synthetic_values_are_a_config_error(tmp_path, capsys, point):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": {"p": 2, "case": "R"}, "point": point,
                                     "checks": ["chi"]}))
     _one_line_config_error(capsys, main(["--config", str(cfg_path), "check"]))
+
+
+def test_a_decimal_string_is_the_exact_rational():
+    U = build_point(parse_config({"model": {"p": 2, "case": "R"}, "checks": ["chi"],
+                                  "point": {"type": "frame", "tail": [-5],
+                                            "rows": [{"2": 1, "3": "0.1"}]}}))
+    assert U.rows[2].pos_coeff(3) == Fraction(1, 10)
 
 
 @pytest.mark.parametrize("p", [2.0, "3"])  # each would run as the integer

@@ -235,6 +235,17 @@ def test_pi_element_accepts_prym_flow():
     assert pe.norm_constant == R.one()
 
 
+def test_pi_element_takes_one_norm(monkeypatch):
+    norms = []
+    norm = VSeries.norm
+    monkeypatch.setattr(VSeries, "norm", lambda g: norms.append(g) or norm(g))
+    m = Model(2, "R")
+    R = cover_ring(2, 1)
+    g = FlowCoords(m, R, "cover", {1: R.var("t1")}).element()
+    assert pi_element(g).norm_constant == R.one()
+    assert norms == [g]   # the norm that decides constancy gives the constant
+
+
 def test_pi_element_rejects_z_perturbation():
     m = Model(2, "R")
     R = JetRing(2, ("e1",), cap=1)

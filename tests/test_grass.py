@@ -407,9 +407,6 @@ def test_duality_intertwines_group_action():
 
 
 def _reference_reduce(U, v):
-    frame, v = U._aligned(v)
-    if frame is not U:
-        return _reference_reduce(frame, v)
     if not _isinf(U.phi):
         v = v.truncate(U.model.exp_window(0, U.phi)[1])
     residual = v
@@ -761,6 +758,24 @@ def _random_unreduced_frame(rng, model, ring, with_tail):
     else:
         kwargs = {"phi": edge + 8 * p, "pivots_full_below": True}
     return GrassPoint(model, ring, rows, max_pivot_bound=edge + 6 * p, **kwargs)
+
+
+def test_a_built_frame_reads_its_floor_once(monkeypatch):
+    floors = []
+    stored_floor = GrassPoint.stored_floor
+    monkeypatch.setattr(GrassPoint, "stored_floor", lambda U: floors.append(U) or stored_floor(U))
+    U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 12)
+    assert not floors          # build_frame's shell never blocks
+    for r in U.rows.values():
+        assert U.reduce(r)[0].is_zero_certified()
+    assert floors == [U]
+
+
+def test_a_vector_over_another_jet_ring_is_refused():
+    U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 12)
+    ring = JetRing(2, ("e1",), cap=1)
+    with pytest.raises(ValueError, match="mixed jet rings"):
+        U.reduce(VSeries.one(U.model, ring))
 
 
 def test_clear_stops_after_a_pass_with_nothing_below_its_sweep(monkeypatch):

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import frames_agree
+from prymlab import krichever
 from prymlab.baker import residue_identity_eval
 from prymlab.errors import WindowError
+from prymlab.jets import JetRing
 from prymlab.krichever import (
     CurveSpec,
     FunctionRep,
@@ -12,7 +15,8 @@ from prymlab.krichever import (
     module_point,
     puiseux_expand,
 )
-from prymlab.vseries import VSeries
+from prymlab.scalars import Cyclo
+from prymlab.vseries import INF, BaseSeries, VSeries, pth_root_series
 
 def curve_y2_x5():
     return CurveSpec(2, [-1, 0, 0, 0, 0, 1])   # y^2 = x^5 - 1
@@ -215,3 +219,182 @@ def test_module_point_flow_action_keeps_chi():
     ring = JetRing(2, ("e1",), cap=1)
     g = flow_exponential(U.model, ring, {1: ring.var("e1")})
     assert U.group_act(g).index_chi() == U.index_chi() == 0
+
+
+# ------------------------------------------------------------------ one expansion: reference
+#
+# The expansion and the generators as they were written once per local
+# model, over f converted into Q(xi_p), with squarefreeness decided there.
+# The package writes both models through the ramification index r and
+# holds f as rationals: x, y, every monomial, the generator list and the
+# frame must equal these, and a bad f must raise the same errors.
+
+
+def _ref_poly_scale(coeffs, p):
+    out = []
+    for c in coeffs:
+        if isinstance(c, Cyclo):
+            out.append(c)
+        else:
+            out.append(Cyclo.rational(p, Fraction(c)))
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def _ref_poly_deriv(f, p):
+    return _ref_poly_scale([c * k for k, c in enumerate(f)][1:] or [0], p)
+
+
+def _ref_poly_mod(a, b, p):
+    a = list(a)
+    inv = b[-1].inverse()
+    while len(a) >= len(b) and a:
+        c = a[-1] * inv
+        for j, bj in enumerate(b):
+            a[len(a) - len(b) + j] = a[len(a) - len(b) + j] - c * bj
+        while a and a[-1].is_zero():
+            a.pop()
+    return a
+
+
+def _ref_is_squarefree(f, p) -> bool:
+    a, b = f, _ref_poly_deriv(f, p)
+    while b:
+        a, b = b, _ref_poly_mod(a, b, p)
+    return len(a) == 1
+
+
+def _ref_curve_f(p, f_coeffs):
+    """f in Q(xi_p), or the ValueError a curve with this f raises."""
+    f = _ref_poly_scale(f_coeffs, p)
+    if len(f) < 2:
+        raise ValueError("f must be non-constant")
+    if f[-1] != Cyclo.one(p):
+        raise ValueError("f must be monic")
+    if not _ref_is_squarefree(f, p):
+        raise ValueError("f must be squarefree (smooth affine model)")
+    return f
+
+
+def _ref_expansion(curve, f, hi):
+    """(x, y) of the curve, one branch per local model."""
+    p, d = curve.p, len(f) - 1
+    m, R = curve.model(), JetRing.scalar(curve.p)
+    if curve.case == "R":
+        x = VSeries.monomial(m, R, 1, -p)
+        w = {p * (d - k): R.const(c) for k, c in enumerate(f)}
+        u = pth_root_series(BaseSeries(R, w, 0, hi + d), p)
+        y = VSeries(m, R, [{e - d: c for e, c in u.terms.items()}], -d, hi)
+    else:
+        x = VSeries(m, R, [{-1: R.one()} for _ in range(p)], -1, INF)
+        w = {d - k: R.const(c) for k, c in enumerate(f)}
+        u = pth_root_series(BaseSeries(R, w, 0, hi + d // p), p)
+        comps = []
+        for i in range(1, p + 1):
+            scale = m.xi ** ((1 - i) % p)
+            comps.append({e - d // p: c * scale for e, c in u.terms.items()})
+        y = VSeries(m, R, comps, -d // p, hi)
+    return x, y
+
+
+def _ref_generators(curve, d, depth):
+    """The exponents (a, b) of the generators x^a y^b, in order."""
+    p = curve.p
+    out = []
+    if curve.case == "R":
+        for b in range(p):
+            for a in range((depth - d * b) // p + 1):
+                if p * a + d * b <= depth:
+                    out.append((a, b))
+    else:
+        dp = d // p
+        for b in range(p):
+            for a in range(depth - dp * b + 1):
+                if a + dp * b <= depth:
+                    out.append((a, b))
+    return out
+
+
+# (p, f constant first): p does not divide d, p divides d, trailing zeros,
+# rational coefficients
+ONE_EXPANSION_CURVES = [
+    (2, [-1, 0, 0, 0, 0, 1]),
+    (2, [-1, 0, 0, 0, 1, 0, 0]),
+    (2, ["1/2", "-3", 0, 1]),
+    (3, [-1, 0, 0, 0, 1, 0]),
+    (3, [1, 2, 0, 1]),
+    (5, [1, 0, 1, 1]),
+    (5, [1, 1, 0, 0, 0, 1, 0, 0]),
+    (7, [1, 1, 0, 1]),
+    (7, [Fraction(1, 3), 1, 0, 0, 0, 0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("p, coeffs", ONE_EXPANSION_CURVES)
+def test_one_expansion_matches_the_per_model_reference(monkeypatch, p, coeffs):
+    curve = CurveSpec(p, coeffs)
+    f = _ref_curve_f(p, coeffs)
+    assert curve.f == f and curve.d == len(f) - 1
+    assert curve.case == ("NR" if curve.d % p == 0 else "R")
+    built = []
+    build = krichever.build_frame
+
+    def recording(model, ring, vectors, **kwargs):
+        built.append((list(vectors), kwargs))
+        return build(model, ring, vectors, **kwargs)
+
+    monkeypatch.setattr(krichever, "build_frame", recording)
+    for depth, height in ((3, 4), (2 * curve.d, 6), (curve.d + 5, 2 * curve.d + 1)):
+        exp = puiseux_expand(curve, height)
+        x, y = _ref_expansion(curve, f, height)
+        assert exp.x == x and exp.y == y          # coefficients and windows
+        gens = []
+        for a, b in _ref_generators(curve, curve.d, depth):
+            want = VSeries.one(x.model, x.ring)
+            for factor in [x] * a + [y] * b:
+                want = want * factor
+            assert exp.monomial(a, b) == want
+            gens.append(want)
+        built.clear()
+        U = algebra_point(curve, depth, height)
+        (vectors, kwargs), = built
+        assert vectors == gens
+        ref = build(x.model, x.ring, gens, phi=min(g.pos_window()[1] for g in gens),
+                    pivots_full_below=True,
+                    max_pivot_bound=p - 1 if curve.case == "NR" else 0)
+        assert kwargs["max_pivot_bound"] == ref.max_pivot_bound
+        assert (U.rows, U.phi, U.pivots_full_below) == (ref.rows, ref.phi, True)
+        # a deep generator can end its window below the pivot bound
+        assert frames_agree(U, ref, probe_hi=min(U.phi - 1, U.max_pivot_bound + 1))
+
+
+@pytest.mark.parametrize("p, coeffs", [
+    (2, [1, 0, 2]),                    # leading coefficient 2
+    (3, [1, 0, "1/2", 0]),             # leading coefficient 1/2 after trimming
+    (2, [0, 0, 1]),                    # x^2
+    (2, [1, 2, 1]),                    # (x + 1)^2
+    (3, [-1, 0, 1, 0, 0]),             # squarefree: (x - 1)(x + 1)
+    (5, [1, -2, 1, 0]),                # (x - 1)^2, trailing zero
+    (2, [3]),                          # constant
+    (3, [1, 0, 0]),                    # constant after trimming
+    (2, []),
+])
+def test_bad_f_raises_what_the_reference_raises(p, coeffs):
+    try:
+        _ref_curve_f(p, coeffs)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            CurveSpec(p, coeffs)
+        assert str(got.value) == str(e)
+    else:
+        assert CurveSpec(p, coeffs).f == _ref_curve_f(p, coeffs)
+
+
+def test_doctests_run():
+    # the `CurveExpansion` docstring pins x's exponent -r and y's leading
+    # exponent in each model
+    import doctest
+
+    failed, attempted = doctest.testmod(krichever)
+    assert attempted > 0 and failed == 0
