@@ -46,11 +46,9 @@ from .vseries import (
 
 def _zone(model: Model, m: int) -> list:
     """Per-component exponents of v_m (one component in the ramified case)."""
-    if model.case == "R":
-        return [m]
     sign = 1 if m >= 0 else -1
-    q, r = divmod(abs(m), model.p)
-    return [sign * (q + 1 if i < r else q) for i in range(model.p)]
+    q, r = divmod(abs(m), model.ncomp)
+    return [sign * (q + 1 if i < r else q) for i in range(model.ncomp)]
 
 
 def _monomials(model: Model, ring: JetRing, exps) -> VSeries:

@@ -282,7 +282,7 @@ class GrassPoint:
         for n in sorted(self.rows):
             if not self.membership(self.rows[n].sigma()):
                 return False
-        if self.tail is not None and self.model.case == "NR" and len(set(self.tail)) > 1:
+        if self.tail is not None and len(set(self.tail)) > 1:
             tmin = min(self.tail)
             for i, t in enumerate(self.tail):
                 for e in range(tmin, t):
@@ -306,6 +306,7 @@ class GrassPoint:
         """
         m = self.model
         refl = m.reflect
+        r = m.ramification_index()
         if _isinf(self.phi):
             # per-component support tops; everything above is a clean gap
             tops = [self.tail[i] - 1 if self.tail is not None else _DEEP
@@ -313,18 +314,15 @@ class GrassPoint:
             for n in self.rows:
                 ci, e = m.unpos(n)
                 tops[ci - 1] = max(tops[ci - 1], e)
-            for r in self.rows.values():
-                for ci, d in enumerate(r.comps):
+            for row in self.rows.values():
+                for ci, d in enumerate(row.comps):
                     if d:
                         tops[ci] = max(tops[ci], max(d))
             mb = self.max_pivot_bound
             ci, e = m.unpos(max(mb, self.d_full()))
             tops[ci - 1] = max(tops[ci - 1], e)
             gap_hi = max(m.pos(i + 1, t) for i, t in enumerate(tops))
-            if m.case == "R":
-                tail2 = (-m.p - tops[0],)
-            else:
-                tail2 = tuple(-1 - tops[i] for i in range(m.ncomp))
+            tail2 = tuple(-r - t for t in tops)
             phi2 = INF
         else:
             gap_hi = self.phi - 1
@@ -350,11 +348,7 @@ class GrassPoint:
                     data[refl(s)] = -c
             vectors.append(VSeries.from_positions(m, self.ring, data))
         # dual pivots live on levels where U is not yet full
-        if m.case == "R":
-            bound = refl(d0)
-        else:
-            e_d = m.unpos(d0)[1]
-            bound = m.pos(m.p, -1 - e_d)
+        bound = m.pos(m.ncomp, -r - m.unpos(d0)[1])
         return build_frame(m, self.ring, vectors, tail=tail2, phi=phi2,
                            pivots_full_below=True, max_pivot_bound=bound)
 
@@ -390,10 +384,7 @@ class GrassPoint:
         vectors = [g * v for v in vectors]
         phis = [v.pos_window()[1] for v in vectors]
         phi2 = min(phis) if phis else base.phi
-        if m.case == "R":
-            new_bound = base.max_pivot_bound + shifts[0]
-        else:
-            new_bound = base.max_pivot_bound + m.p * max(shifts)
+        new_bound = base.max_pivot_bound + m.ncomp * max(shifts)
         return build_frame(m, base.ring, vectors, tail=tail2, phi=phi2,
                            pivots_full_below=base.pivots_full_below,
                            max_pivot_bound=new_bound)
@@ -667,26 +658,20 @@ def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor) ->
 
 def v_minus(model: Model, ring: JetRing, shift: int = 0) -> GrassPoint:
     """The subspace of all positions with component exponent below `shift`."""
-    tail = tuple(shift for _ in range(model.ncomp))
-    return GrassPoint(model, ring, {}, tail=tail, phi=INF,
+    return GrassPoint(model, ring, {}, tail=(shift,) * model.ncomp, phi=INF,
                       pivots_full_below=True,
-                      max_pivot_bound=max(model.pos(i + 1, t - 1)
-                                          for i, t in enumerate(tail)))
+                      max_pivot_bound=model.pos(model.ncomp, shift - 1))
 
 
 def u_n_point(model: Model, ring: JetRing, n: int, big_n: int) -> GrassPoint:
     """The witness subspace <z^{-n-1} e_1, e_2, ..., e_p> + z^N V-."""
     if n == 0:
         raise ValueError("the witness family needs n != 0")
-    if model.case == "R":
-        # e_1 = 1, e_i = z1^{i-1}; z^{-n-1} e_1 = z1^{-p(n+1)}
-        gens = [VSeries.monomial(model, ring, 1, -model.p * (n + 1))]
-        gens += [VSeries.monomial(model, ring, 1, i - 1) for i in range(2, model.p + 1)]
-        tail = (model.p * big_n,)
-    else:
-        gens = [VSeries.monomial(model, ring, 1, -n - 1)]
-        gens += [VSeries.unit_vector(model, ring, i) for i in range(2, model.p + 1)]
-        tail = tuple(big_n for _ in range(model.p))
+    # e_i sits at position i - 1 in both models (z1^{i-1} ramified, the
+    # idempotent of component i non-ramified), and z^{-n-1} e_1 at -p(n+1)
+    p = model.p
+    gens = [VSeries.basis(model, ring, q) for q in [-p * (n + 1), *range(1, p)]]
+    tail = (model.ramification_index() * big_n,) * model.ncomp
     return build_frame(model, ring, gens, tail=tail)
 
 

@@ -11,10 +11,10 @@ below lo, exactly stored in [lo, hi), and unknown at hi and above.  All
 operations propagate the largest window on which the result is provably
 exact; nothing is ever guessed.
 
-Positions index the K-basis of V: in the ramified case a position is the
-z1-exponent; in the non-ramified case the pair (component i, exponent e)
-is linearized as n = p*e + (i-1).  In both cases V+ is {n >= 0} and the
-class n mod p picks the distinguished-basis coordinate.
+Positions index the K-basis of V: with ncomp = 1 (ramified) or p
+(non-ramified) components, (component i, exponent e) sits at position
+n = ncomp*e + (i-1), a rule that only `Model` knows.  In both cases V+ is
+{n >= 0} and the class n mod p picks the distinguished-basis coordinate.
 """
 
 from __future__ import annotations
@@ -42,9 +42,18 @@ def _isinf(x) -> bool:
 
 
 class Model:
-    """Shape of V: the prime p, the case, and the root of unity used by sigma."""
+    """Shape of V: the prime p, the case, and the root of unity used by sigma.
 
-    __slots__ = ("p", "case", "xi", "_xi_pows")
+    Component i, exponent e sits at position ncomp*e + (i-1), ncomp = 1 or p:
+
+    >>> R, NR = Model(3, RAMIFIED), Model(3, NONRAMIFIED)
+    >>> R.pos(1, -2), R.unpos(-2), R.reflect(-2)
+    (-2, (1, -2), -1)
+    >>> NR.pos(2, -1), NR.unpos(-2), NR.reflect(-2)
+    (-2, (2, -1), 1)
+    """
+
+    __slots__ = ("p", "case", "ncomp", "xi", "_xi_pows")
 
     def __init__(self, p: int, case: str, xi: Cyclo | None = None):
         if not is_prime(p):
@@ -57,12 +66,9 @@ class Model:
             raise ValueError("xi must be a primitive p-th root of unity")
         self.p = p
         self.case = case
+        self.ncomp = 1 if case == RAMIFIED else p
         self.xi = xi
         self._xi_pows = {0: Cyclo.one(p), 1: xi}
-
-    @property
-    def ncomp(self) -> int:
-        return 1 if self.case == RAMIFIED else self.p
 
     def xi_pow(self, k: int) -> Cyclo:
         k %= self.p
@@ -76,20 +82,14 @@ class Model:
 
     def pos(self, comp: int, e: int) -> int:
         """Linear position of basis vector (component comp in 1..ncomp, exponent e)."""
-        if self.case == RAMIFIED:
-            return e
-        return self.p * e + (comp - 1)
+        return self.ncomp * e + comp - 1
 
     def unpos(self, n: int):
-        if self.case == RAMIFIED:
-            return 1, n
-        return n % self.p + 1, n // self.p
+        return n % self.ncomp + 1, n // self.ncomp
 
     def reflect(self, n: int) -> int:
         """Position paired dually with n under the residue pairing."""
-        if self.case == RAMIFIED:
-            return -self.p - n
-        return -self.p - n + 2 * (n % self.p)
+        return -self.p - n + 2 * (n % self.ncomp)
 
     def ramification_index(self) -> int:
         """r = p // ncomp: z = z1^r at the marked fibre (p ramified, 1
@@ -98,14 +98,11 @@ class Model:
 
     def pos_window(self, lo: int, hi):
         """Exponent window -> linearized position window."""
-        if self.case == RAMIFIED:
-            return lo, hi
-        return self.p * lo, (INF if _isinf(hi) else self.p * hi)
+        return self.ncomp * lo, (INF if _isinf(hi) else self.ncomp * hi)
 
     def exp_window(self, plo: int, phi):
-        if self.case == RAMIFIED:
-            return plo, phi
-        return plo // self.p, (INF if _isinf(phi) else _ceildiv(phi, self.p))
+        """Linearized position window -> covering exponent window."""
+        return plo // self.ncomp, (INF if _isinf(phi) else _ceildiv(phi, self.ncomp))
 
     def __eq__(self, other):
         return (
@@ -318,8 +315,7 @@ class VSeries:
                 continue
             comp, e = model.unpos(n)
             comps[comp - 1][e] = comps[comp - 1].get(e, ring.zero()) + c
-        exp_hi = INF if _isinf(phi) else model.exp_window(0, phi)[1]
-        return VSeries(model, ring, comps, None, exp_hi)
+        return VSeries(model, ring, comps, None, model.exp_window(0, phi)[1])
 
     # -- basic views --------------------------------------------------------
 
@@ -508,18 +504,14 @@ class VSeries:
         Position n contributes to coordinate class n mod p at z-exponent
         n div p (exact in both cases; see the module docstring).
         """
-        m = self.model
+        p = self.model.p
         plo, phi = self.pos_window()
-        out = []
-        for k in range(m.p):
-            t = {}
-            for n, c in self.pos_items():
-                if n % m.p == k:
-                    t[(n - k) // m.p] = c
-            lo_k = _ceildiv(plo - k, m.p)
-            hi_k = INF if _isinf(phi) else _ceildiv(phi - k, m.p)
-            out.append(BaseSeries(self.ring, t, lo_k, hi_k))
-        return out
+        ts = [{} for _ in range(p)]
+        for n, c in self.pos_items():
+            ts[n % p][n // p] = c
+        return [BaseSeries(self.ring, t, _ceildiv(plo - k, p),
+                           INF if _isinf(phi) else _ceildiv(phi - k, p))
+                for k, t in enumerate(ts)]
 
     def to_text(self) -> str:
         parts = []
@@ -636,8 +628,8 @@ def flow_exponential(model: Model, ring: JetRing, coords) -> VSeries:
         c = ring.const(c)
         if not c.is_nilpotent():
             raise ValueError("flow coefficients must be nilpotent")
-        if model.case == RAMIFIED and i != 1:
-            raise ValueError("ramified flows have a single component")
+        if not 1 <= i <= model.ncomp:
+            raise ValueError("flow component %d outside 1..%d" % (i, model.ncomp))
         if c.is_zero():
             continue
         comps[i - 1][-j] = comps[i - 1].get(-j, ring.zero()) + c

@@ -8,6 +8,7 @@ import pytest
 from conftest import frames_agree, rand_scalar, random_point
 
 from prymlab import grass, krichever
+from prymlab.baker import _zone
 from prymlab.cli import run
 from prymlab.errors import FrameError, WindowError
 from prymlab.grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
@@ -1095,3 +1096,156 @@ def test_isotropy_p5_p7_curve_jobs_finish(p, f, window, tuples):
     assert check["detail"] == ("isotropy: %d candidate tuples not certifiable in window "
                                "(retry with a window extended by at least %d)"
                                % (tuples, {5: 14, 7: 11}[p]))
+
+
+# ------------------------------------------------------------------ one position layout
+#
+# `_zone`, `u_n_point`, `orthogonal` and `group_act` read the layout from
+# `Model` with no branch on the local model; the per-case versions below
+# are the reference they must match, frame for frame.
+
+
+def _per_case_zone(model, m):
+    if model.case == "R":
+        return [m]
+    sign = 1 if m >= 0 else -1
+    q, r = divmod(abs(m), model.p)
+    return [sign * (q + 1 if i < r else q) for i in range(model.p)]
+
+
+def _per_case_u_n_point(model, ring, n, big_n):
+    if model.case == "R":
+        gens = [VSeries.monomial(model, ring, 1, -model.p * (n + 1))]
+        gens += [VSeries.monomial(model, ring, 1, i - 1) for i in range(2, model.p + 1)]
+        tail = (model.p * big_n,)
+    else:
+        gens = [VSeries.monomial(model, ring, 1, -n - 1)]
+        gens += [VSeries.unit_vector(model, ring, i) for i in range(2, model.p + 1)]
+        tail = tuple(big_n for _ in range(model.p))
+    return build_frame(model, ring, gens, tail=tail)
+
+
+def _per_case_orthogonal(U):
+    m = U.model
+    refl = m.reflect
+    if _isinf(U.phi):
+        tops = [U.tail[i] - 1 if U.tail is not None else grass._DEEP
+                for i in range(m.ncomp)]
+        for n in U.rows:
+            ci, e = m.unpos(n)
+            tops[ci - 1] = max(tops[ci - 1], e)
+        for r in U.rows.values():
+            for ci, d in enumerate(r.comps):
+                if d:
+                    tops[ci] = max(tops[ci], max(d))
+        ci, e = m.unpos(max(U.max_pivot_bound, U.d_full()))
+        tops[ci - 1] = max(tops[ci - 1], e)
+        gap_hi = max(m.pos(i + 1, t) for i, t in enumerate(tops))
+        if m.case == "R":
+            tail2 = (-m.p - tops[0],)
+        else:
+            tail2 = tuple(-1 - tops[i] for i in range(m.ncomp))
+        phi2 = INF
+    else:
+        gap_hi = U.phi - 1
+        tail2 = None
+        phi2 = refl(U.stored_floor()) + 1
+    vectors = []
+    d0 = U.d_full()
+    for g in range(d0, gap_hi + 1):
+        try:
+            if U.is_pivot(g):
+                continue
+        except WindowError:
+            continue
+        if tail2 is not None and m.unpos(g)[1] > tops[m.unpos(g)[0] - 1]:
+            continue
+        data = {refl(g): U.ring.one()}
+        for s in sorted(U.rows):
+            c = U.rows[s].pos_coeff(g)
+            if not c.is_zero():
+                data[refl(s)] = -c
+        vectors.append(VSeries.from_positions(m, U.ring, data))
+    if m.case == "R":
+        bound = refl(d0)
+    else:
+        bound = m.pos(m.p, -1 - m.unpos(d0)[1])
+    return build_frame(m, U.ring, vectors, tail=tail2, phi=phi2,
+                       pivots_full_below=True, max_pivot_bound=bound)
+
+
+def _per_case_group_act(U, g):
+    m = U.model
+    base = U.lifted(g.ring)
+    shifts, reaches = [], []
+    for ci in range(m.ncomp):
+        d = g.comps[ci]
+        a = min(e for e, c in d.items() if c.is_unit())
+        reach = g.hi - 1 - a if not _isinf(g.hi) else ((max(d) - a) if d else 0)
+        shifts.append(a)
+        reaches.append(max(0, reach))
+    vectors = []
+    tail2 = None
+    if base.tail is not None:
+        tail2 = tuple(base.tail[i] + shifts[i] - reaches[i] for i in range(m.ncomp))
+        for i in range(m.ncomp):
+            for e in range(base.tail[i] - reaches[i], base.tail[i]):
+                vectors.append(VSeries.monomial(m, base.ring, i + 1, e))
+    vectors.extend(base.rows[n] for n in sorted(base.rows))
+    vectors = [g * v for v in vectors]
+    phis = [v.pos_window()[1] for v in vectors]
+    phi2 = min(phis) if phis else base.phi
+    if m.case == "R":
+        new_bound = base.max_pivot_bound + shifts[0]
+    else:
+        new_bound = base.max_pivot_bound + m.p * max(shifts)
+    return build_frame(m, base.ring, vectors, tail=tail2, phi=phi2,
+                       pivots_full_below=base.pivots_full_below,
+                       max_pivot_bound=new_bound)
+
+
+def _same_frame(F, G):
+    assert (F.tail, F.phi, F.max_pivot_bound, F.pivots_full_below) == \
+        (G.tail, G.phi, G.max_pivot_bound, G.pivots_full_below)
+    assert F.rows == G.rows
+    assert frames_agree(F, G)
+
+
+LAYOUT_CASES = [(case, p) for case in ("R", "NR") for p in (2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("case,p", LAYOUT_CASES)
+def test_zone_and_u_n_match_the_per_case_reference(case, p):
+    model = Model(p, case)
+    for m in range(-4 * p - 3, 4 * p + 4):
+        assert _zone(model, m) == _per_case_zone(model, m)
+    R = scalar_ring(p)
+    for n in (-2, -1, 1, 2, 3):
+        for big_n in range(-3, 3):
+            _same_frame(u_n_point(model, R, n, big_n),
+                        _per_case_u_n_point(model, R, n, big_n))
+
+
+@pytest.mark.parametrize("case,p", LAYOUT_CASES)
+def test_orthogonal_and_group_act_match_the_per_case_reference(case, p):
+    rng = random.Random(97 * p + len(case))
+    model = Model(p, case)
+    R = scalar_ring(p)
+    J = JetRing(p, ("w1",), cap=1)
+    keys = [1, 2] if case == "R" else [(1, 1), (p, 2)]
+    acting = [
+        VSeries.one(model, R),
+        VSeries(model, R, [{k: R.one()} for k in range(model.ncomp)], 0),
+        VSeries(model, R, [{-1: R.one(), 1: R.const(2)} for _ in range(model.ncomp)], -1),
+        flow_exponential(model, J, {k: J.var("w1") for k in keys}),
+    ]
+    for _ in range(4 if p < 5 else 2):
+        U = random_point(rng, model, R, span=3 if p < 5 else 2)
+        _same_frame(U.orthogonal(), _per_case_orthogonal(U))
+        for g in acting:
+            _same_frame(U.group_act(g), _per_case_group_act(U, g))
+    # a curve frame: finite window, no tail
+    d = p if case == "NR" else p + 1
+    V = algebra_point(CurveSpec(p, [1] + [0] * (d - 1) + [1]), 10)
+    assert V.model.case == case and V.tail is None and not _isinf(V.phi)
+    _same_frame(V.orthogonal(), _per_case_orthogonal(V))

@@ -670,3 +670,111 @@ def test_wedge_p7_costs_at_most_p_times_2_to_p_minus_1_products(monkeypatch):
     monkeypatch.setattr(BaseSeries, "__mul__", counting)
     _outcome(wedge_residue, us)
     assert 0 < len(calls) <= 7 * 2 ** 6
+
+
+# ---------------------------------------------------------------- one position layout
+#
+# `Model` writes the layout n = ncomp*e + (i-1) once for both local
+# models; the per-case methods below, and a per-class loop for
+# `coordinates`, are the reference it must match.
+
+
+def _per_case_pos(m, comp, e):
+    if m.case == "R":
+        return e
+    return m.p * e + (comp - 1)
+
+
+def _per_case_unpos(m, n):
+    if m.case == "R":
+        return 1, n
+    return n % m.p + 1, n // m.p
+
+
+def _per_case_reflect(m, n):
+    if m.case == "R":
+        return -m.p - n
+    return -m.p - n + 2 * (n % m.p)
+
+
+def _per_case_pos_window(m, lo, hi):
+    if m.case == "R":
+        return lo, hi
+    return m.p * lo, (INF if _isinf(hi) else m.p * hi)
+
+
+def _per_case_exp_window(m, plo, phi):
+    if m.case == "R":
+        return plo, phi
+    return plo // m.p, (INF if _isinf(phi) else -((-phi) // m.p))
+
+
+@pytest.mark.parametrize("case", ["R", "NR"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_one_layout_matches_the_per_case_methods(case, p):
+    m = Model(p, case)
+    assert m.ncomp == (1 if case == "R" else p)
+    for e in range(-12, 13):
+        for comp in range(1, m.ncomp + 1):
+            assert m.pos(comp, e) == _per_case_pos(m, comp, e)
+    for n in range(-4 * p - 9, 4 * p + 10):
+        assert m.unpos(n) == _per_case_unpos(m, n)
+        assert m.pos(*m.unpos(n)) == n
+        assert m.reflect(n) == _per_case_reflect(m, n)
+        assert m.reflect(m.reflect(n)) == n
+    for lo in range(-9, 10):
+        for hi in list(range(lo, lo + 9)) + [INF]:
+            assert m.pos_window(lo, hi) == _per_case_pos_window(m, lo, hi)
+            assert m.exp_window(lo, hi) == _per_case_exp_window(m, lo, hi)
+
+
+def _per_class_coordinates(v):
+    m = v.model
+    plo, phi = v.pos_window()
+    out = []
+    for k in range(m.p):
+        t = {}
+        for n, c in v.pos_items():
+            if n % m.p == k:
+                t[(n - k) // m.p] = c
+        lo_k = -((k - plo) // m.p)
+        hi_k = INF if _isinf(phi) else -((k - phi) // m.p)
+        out.append(BaseSeries(v.ring, t, lo_k, hi_k))
+    return out
+
+
+@pytest.mark.parametrize("case", ["R", "NR"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coordinates_match_the_per_class_loop(case, p):
+    rng = random.Random(p * 31 + len(case))
+    m = Model(p, case)
+    R = scalar_ring(p)
+    for _ in range(12):
+        lo = rng.randint(-8, 2)
+        v = rand_vseries(rng, m, R, lo, lo + rng.randint(1, 9), density=0.6)
+        if rng.random() < 0.3:
+            v = VSeries(m, R, v.comps, v.lo, INF)
+        got, want = v.coordinates(), _per_class_coordinates(v)
+        assert len(got) == len(want) == p
+        for b, b_ref in zip(got, want):
+            assert (b.lo, b.hi) == (b_ref.lo, b_ref.hi)
+            assert list(b.terms.items()) == list(b_ref.terms.items())
+
+
+@pytest.mark.parametrize("case", ["R", "NR"])
+def test_flow_components_outside_the_model_are_refused(case):
+    m = Model(3, case)
+    R = JetRing(3, ("t1",), cap=1)
+    for i in (0, m.ncomp + 1):
+        with pytest.raises(ValueError, match="component"):
+            flow_exponential(m, R, {(i, 1): R.var("t1")})
+
+
+def test_doctests_run():
+    # the `Model` docstring pins pos, unpos and reflect in both models
+    import doctest
+
+    import prymlab.vseries
+
+    failed, attempted = doctest.testmod(prymlab.vseries)
+    assert attempted > 0 and failed == 0
