@@ -78,10 +78,7 @@ def _kernel_rows(U: GrassPoint, m: int) -> list:
     model = U.model
     zone = _zone(model, m)
     rows = [U.rows[n] for n in U.pivot_positions() if _in_zone(model, zone, n)]
-    if U.tail is not None:
-        for i, (floor, t) in enumerate(zip(zone, U.tail)):
-            rows.extend(VSeries.monomial(model, U.ring, i + 1, e) for e in range(floor, t))
-    return rows
+    return rows + U.tail_monomials(zone)
 
 
 class BAFunction(NamedTuple):
@@ -181,9 +178,11 @@ def _families(points: dict, spec, depth: int, cap: int) -> tuple:
     multilinear in generating families, so this changes no verdict.
     """
     labels = _labels(len(spec))
-    kernels = [_kernel_rows(points[name], points[name].index_chi()) for name in spec]
+    # one kernel and one prejudge per point, in spec order
+    kernels = {name: _kernel_rows(points[name], points[name].index_chi())
+               for name in dict.fromkeys(spec)}
     errors = []
-    for name in spec:
+    for name in kernels:
         if points[name].ring.cap:
             break  # a jet frame is not prejudged
         bad = wave_solve_blocked(points[name], len(spec) * cap * depth)
@@ -193,16 +192,16 @@ def _families(points: dict, spec, depth: int, cap: int) -> tuple:
         # the family that needs the largest extension names the depth's error
         raise max(errors, key=lambda e: e.suggest)
     ring, blocks = identity_ring(points[spec[0]].model, labels, depth, len(spec) * cap,
-                                 {label: len(k) for label, k in zip(labels, kernels)})
+                                 {label: len(kernels[name]) for label, name in zip(labels, spec)})
     lifts, fams, big_cell = {}, [], {}
-    for name, label, kernel in zip(spec, labels, kernels):
+    for name, label in zip(spec, labels):
         if name not in lifts:
             lifts[name] = points[name].lifted(ring)
         coords = blocks[label] if name != "dual" else {k: -c for k, c in blocks[label].items()}
         ba = baker_akhiezer(lifts[name], coords)
         fam = ba.u
         if not ba.big_cell and cap > 0:
-            for k, row in enumerate(kernel, 1):
+            for k, row in enumerate(kernels[name], 1):
                 fam = fam + row.lift(ring).scale(ring.var("%sx%d" % (label, k)))
         fams.append(fam)
         big_cell.setdefault("psi*" if name == "dual" else "psi", ba.big_cell)

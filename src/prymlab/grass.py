@@ -92,6 +92,18 @@ class GrassPoint:
             suggest=n - self.phi + 1,
         )
 
+    def tail_monomials(self, lows) -> list:
+        """z^e e_i for lows[i-1] <= e < tail[i-1], by component, e ascending.
+
+        >>> m = Model(2, "NR")
+        >>> U = build_frame(m, JetRing.scalar(2), [], tail=(1, 0))
+        >>> [m.unpos(v.leading_position()) for v in U.tail_monomials([-1, -2])]
+        [(1, -1), (1, 0), (2, -2), (2, -1)]
+        """
+        return [VSeries.monomial(self.model, self.ring, i, e)
+                for i, (lo, t) in enumerate(zip(lows, self.tail or ()), 1)
+                for e in range(lo, t)]
+
     def lifted(self, ring: JetRing) -> "GrassPoint":
         """The same frame over a larger jet ring."""
         if self.ring.compatible(ring):
@@ -264,32 +276,21 @@ class GrassPoint:
         return self.once("sigma", self._sigma_frame)
 
     def _sigma_frame(self) -> "GrassPoint":
+        # sigma rotates the components (NR), which can reorder positions in a
+        # level, or scales z1^n by xi^n (R), which renormalizes each row
         m = self.model
-        if m.case == "R":
-            # positions are fixed; only the pivot normalization changes
-            return self._with_rows({n: r.sigma().scale(m.xi_pow(-n))
-                                    for n, r in self.rows.items()})
-        # NR: the component rotation can reorder positions inside a level
-        tail = (self.tail[-1],) + self.tail[:-1] if self.tail is not None else None
-        e_top = m.unpos(self.max_pivot_bound)[1]
+        tail = self.tail[-1:] + self.tail[:-1] if self.tail is not None else None
         return build_frame(m, self.ring, [r.sigma() for r in self.rows.values()],
                            tail=tail, phi=self.phi,
                            pivots_full_below=self.pivots_full_below,
-                           max_pivot_bound=m.pos(m.p, e_top))
+                           max_pivot_bound=m.pos(m.ncomp, m.unpos(self.max_pivot_bound)[1]))
 
     def invariance_check(self) -> bool:
         """True when sigma maps the frame into itself (certified)."""
-        for n in sorted(self.rows):
-            if not self.membership(self.rows[n].sigma()):
-                return False
-        if self.tail is not None and len(set(self.tail)) > 1:
-            tmin = min(self.tail)
-            for i, t in enumerate(self.tail):
-                for e in range(tmin, t):
-                    mono = VSeries.monomial(self.model, self.ring, i + 1, e)
-                    if not self.membership(mono.sigma()):
-                        return False
-        return True
+        # the tail below its lowest edge is sigma-stable; the rest is checked
+        lows = [min(self.tail)] * len(self.tail) if self.tail else []
+        vectors = [self.rows[n] for n in sorted(self.rows)] + self.tail_monomials(lows)
+        return all(self.membership(v.sigma()) for v in vectors)
 
     # ------------------------------------------------------------------ pairing dual
 
@@ -311,9 +312,6 @@ class GrassPoint:
             # per-component support tops; everything above is a clean gap
             tops = [self.tail[i] - 1 if self.tail is not None else _DEEP
                     for i in range(m.ncomp)]
-            for n in self.rows:
-                ci, e = m.unpos(n)
-                tops[ci - 1] = max(tops[ci - 1], e)
             for row in self.rows.values():
                 for ci, d in enumerate(row.comps):
                     if d:
@@ -373,15 +371,11 @@ class GrassPoint:
                 reach = (max(d) - a) if d else 0
             shifts.append(a)
             reaches.append(max(0, reach))
-        vectors = []
-        tail2 = None
-        if base.tail is not None:
-            tail2 = tuple(base.tail[i] + shifts[i] - reaches[i] for i in range(m.ncomp))
-            for i in range(m.ncomp):
-                for e in range(base.tail[i] - reaches[i], base.tail[i]):
-                    vectors.append(VSeries.monomial(m, base.ring, i + 1, e))
-        vectors.extend(base.rows[n] for n in sorted(base.rows))
-        vectors = [g * v for v in vectors]
+        tail2 = None if base.tail is None else tuple(
+            t + a - r for t, a, r in zip(base.tail, shifts, reaches))
+        lows = [t - r for t, r in zip(base.tail or (), reaches)]
+        vectors = [g * v for v in base.tail_monomials(lows)
+                   + [base.rows[n] for n in sorted(base.rows)]]
         phis = [v.pos_window()[1] for v in vectors]
         phi2 = min(phis) if phis else base.phi
         new_bound = base.max_pivot_bound + m.ncomp * max(shifts)
@@ -580,12 +574,8 @@ class GrassPoint:
                 if r.pos_window()[0] + depth_pos < floor:
                     continue
             rows.append(r)
-        if self.tail is not None:
-            for i, t in enumerate(self.tail):
-                for e in range(t - depth - 1, t):
-                    rows.append(VSeries.monomial(m, self.ring, i + 1, e)
-                                .map_coeffs(JetPoly.constant_term))
-        return rows
+        lows = [t - depth - 1 for t in self.tail or ()]
+        return rows + [v.map_coeffs(JetPoly.constant_term) for v in self.tail_monomials(lows)]
 
     # ------------------------------------------------------------------ misc
 
@@ -602,10 +592,10 @@ class GrassPoint:
 
 def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
                 pivots_full_below=False, max_pivot_bound=None) -> GrassPoint:
-    """Reduced echelon frame spanned by `vectors` (plus the tail, if any)."""
+    """Reduced echelon frame spanned by `vectors` (plus the tail, if any),
+    made once from rows formed on a shell; the one builder of new rows."""
     shell = GrassPoint(model, ring, {}, tail=tail, phi=phi,
-                       pivots_full_below=False,
-                       max_pivot_bound=0 if max_pivot_bound is None else max_pivot_bound)
+                       pivots_full_below=False, max_pivot_bound=-1)
     for v in vectors:
         residual, _ = shell.reduce(v)
         if residual.is_zero_certified():
@@ -623,13 +613,11 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
         lo, hi, _ = shell._clear(comps, r.lo, r.hi, skip=n)
         shell.rows[n] = VSeries(model, ring, comps, lo, hi)
     if max_pivot_bound is None:
-        shell.max_pivot_bound = max(shell.rows) if shell.rows else -1
-        if tail is not None:
-            shell.max_pivot_bound = max(
-                [shell.max_pivot_bound]
-                + [model.pos(i + 1, t - 1) for i, t in enumerate(tail)])
-    shell.pivots_full_below = pivots_full_below or tail is not None
-    return shell
+        tops = [model.pos(i, t - 1) for i, t in enumerate(tail or (), 1)]
+        max_pivot_bound = max([*shell.rows, *tops], default=-1)
+    return GrassPoint(model, ring, shell.rows, tail=tail, phi=phi,
+                      pivots_full_below=pivots_full_below,
+                      max_pivot_bound=max_pivot_bound)
 
 
 def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor) -> GrassPoint:
@@ -658,9 +646,7 @@ def module_closure(model: Model, ring: JetRing, gens, algebra, *, phi, floor) ->
 
 def v_minus(model: Model, ring: JetRing, shift: int = 0) -> GrassPoint:
     """The subspace of all positions with component exponent below `shift`."""
-    return GrassPoint(model, ring, {}, tail=(shift,) * model.ncomp, phi=INF,
-                      pivots_full_below=True,
-                      max_pivot_bound=model.pos(model.ncomp, shift - 1))
+    return build_frame(model, ring, [], tail=(shift,) * model.ncomp)
 
 
 def u_n_point(model: Model, ring: JetRing, n: int, big_n: int) -> GrassPoint:

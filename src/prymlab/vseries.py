@@ -287,6 +287,8 @@ class VSeries:
     @staticmethod
     def monomial(model: Model, ring: JetRing, comp: int, e: int, coeff=1) -> "VSeries":
         """coeff * z^e in component comp (ramified: coeff * z1^e)."""
+        if not 1 <= comp <= model.ncomp:
+            raise ValueError("component %d outside 1..%d" % (comp, model.ncomp))
         coeff = ring.const(coeff)
         comps = [{} for _ in range(model.ncomp)]
         comps[comp - 1] = {e: coeff}
@@ -300,9 +302,7 @@ class VSeries:
 
     @staticmethod
     def unit_vector(model: Model, ring: JetRing, i: int) -> "VSeries":
-        """The idempotent e_i = (0, ..., 1, ..., 0); in V_R this is just 1."""
-        if model.case == RAMIFIED:
-            return VSeries.one(model, ring)
+        """The idempotent e_i = (0, ..., 1, ..., 0); in V_R this is e_1 = 1."""
         return VSeries.monomial(model, ring, i, 0)
 
     @staticmethod

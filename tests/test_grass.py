@@ -2,6 +2,7 @@ import functools
 import heapq
 import random
 import time
+import weakref
 
 import pytest
 
@@ -1249,3 +1250,88 @@ def test_orthogonal_and_group_act_match_the_per_case_reference(case, p):
     V = algebra_point(CurveSpec(p, [1] + [0] * (d - 1) + [1]), 10)
     assert V.model.case == case and V.tail is None and not _isinf(V.phi)
     _same_frame(V.orthogonal(), _per_case_orthogonal(V))
+
+
+# ------------------------------------------------------------------ one frame builder
+#
+# Every frame with new rows comes from `build_frame`, which makes it once
+# with its final certificates.  The ramified sigma image and `v_minus`
+# used to set theirs by hand; the copies below are the reference.
+
+
+def _hand_sigma_frame_ramified(U):
+    m = U.model
+    return U._with_rows({n: r.sigma().scale(m.xi_pow(-n)) for n, r in U.rows.items()})
+
+
+def _hand_v_minus(model, ring, shift=0):
+    return GrassPoint(model, ring, {}, tail=(shift,) * model.ncomp, phi=INF,
+                      pivots_full_below=True,
+                      max_pivot_bound=model.pos(model.ncomp, shift - 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ramified_sigma_image_matches_the_hand_built_frame(p):
+    rng = random.Random(300 + p)
+    m = Model(p, "R")
+    J = JetRing(p, ("w1", "w2"), cap=2)
+    frames = [random_point(rng, m, ring) for ring in (scalar_ring(p), J) for _ in range(3)]
+    frames += [_random_jet_frame(rng, m, J, with_tail=t) for t in (True, False)]
+    frames.append(algebra_point(CurveSpec(p, [1] + [0] * p + [1]), 10))
+    for U in frames:
+        S = U.sigma_point()
+        _same_frame(S, _hand_sigma_frame_ramified(U))
+        assert list(S.rows) == list(U.rows)
+
+
+@pytest.mark.parametrize("case,p", [(c, p) for c in ("R", "NR") for p in (2, 3, 5)])
+def test_v_minus_matches_the_hand_built_frame(case, p):
+    m = Model(p, case)
+    for shift in range(-3, 4):
+        _same_frame(v_minus(m, scalar_ring(p), shift), _hand_v_minus(m, scalar_ring(p), shift))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sigma_image_holds_the_image_of_each_tail_monomial(p):
+    # unequal tail edges: the sigma image moves each edge with its component
+    m = Model(p, "NR")
+    R = scalar_ring(p)
+    row = VSeries.basis(m, R, m.pos(2, 1)) + VSeries.basis(m, R, m.pos(1, 2))
+    U = build_frame(m, R, [row], tail=(1,) + (0,) * (p - 1))
+    S = U.sigma_point()
+    vectors = list(U.rows.values()) + U.tail_monomials([-2] * p)
+    assert all(S.membership(v.sigma()) for v in vectors)
+    assert S.index_chi() == U.index_chi()
+
+
+def test_no_frame_is_written_after_it_is_made(monkeypatch):
+    made, writes, count = weakref.WeakSet(), [], []
+    init = GrassPoint.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.add(self)
+        count.append(1)
+
+    def recording_setattr(self, name, value):
+        if self in made:
+            writes.append(name)
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(GrassPoint, "__init__", recording_init)
+    monkeypatch.setattr(GrassPoint, "__setattr__", recording_setattr)
+    curve = {"curve": {"p": 2, "f": ["-1", "0", "0", "0", "0", "1"]},
+             "point": {"type": "algebra"}, "window": [-16, 26]}
+    run(dict(curve, tangent_depth=6,
+             checks=["chi", "gaps", "sigma", "algebra", "isotropy", "tangent"]))
+    report = run(dict(curve, jet_cap=1, flow_depth=2, checks=["MOD_R_1"]))
+    assert report["checks"]["MOD_R_1"]["verdict"] == "pass"
+    assert len(count) > 10 and writes == []
+
+
+def test_doctests_run():
+    # the `tail_monomials` docstring pins the order of a two-component tail
+    import doctest
+
+    failed, attempted = doctest.testmod(grass)
+    assert attempted > 0 and failed == 0

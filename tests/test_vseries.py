@@ -770,6 +770,22 @@ def test_flow_components_outside_the_model_are_refused(case):
             flow_exponential(m, R, {(i, 1): R.var("t1")})
 
 
+@pytest.mark.parametrize("case", ["R", "NR"])
+def test_monomials_outside_the_model_are_refused(case):
+    # component 0 must not wrap round to the last component, and the
+    # ramified model has one idempotent, e_1 = 1
+    m = Model(3, case)
+    R = scalar_ring(3)
+    for i in (0, m.ncomp + 1):
+        with pytest.raises(ValueError, match="component"):
+            VSeries.monomial(m, R, i, 1)
+        with pytest.raises(ValueError, match="component"):
+            VSeries.unit_vector(m, R, i)
+    assert VSeries.unit_vector(m, R, 1) == VSeries.monomial(m, R, 1, 0)
+    if case == "R":
+        assert VSeries.unit_vector(m, R, 1) == VSeries.one(m, R)
+
+
 def test_doctests_run():
     # the `Model` docstring pins pos, unpos and reflect in both models
     import doctest
