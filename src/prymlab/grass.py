@@ -184,7 +184,9 @@ class GrassPoint:
         floor).  So only an entry added behind the sweep can need another
         pass.  A scalar row is supported at and above its pivot, so a scalar
         reduction takes one pass; a jet row's nilpotent entries below its
-        pivot can need more.  Returns (lo, hi, blocked), `blocked` as for
+        pivot can need more.  An entry already present takes the fused
+        `submul`, which gives the same value as `s - a * c`; a fresh one is
+        `-(a * c)`.  Returns (lo, hi, blocked), `blocked` as for
         `reduce`; [lo, hi) is the common window of the input and every row
         used.  Only a full-below frame without a tail can block: a tail
         holds every position under the floor that no row holds.  Such a
@@ -223,11 +225,11 @@ class GrassPoint:
                         for e2, a in rd.items():
                             if e2 >= hi:
                                 continue
-                            x = a * c
-                            if x.is_zero():
-                                continue
                             s = d.get(e2)
                             if s is None:
+                                x = a * c
+                                if x.is_zero():
+                                    continue
                                 d[e2] = -x
                                 q = m.pos(k + 1, e2)
                                 if q <= n:
@@ -237,7 +239,7 @@ class GrassPoint:
                                     heapq.heappush(todo, q)
                                     queued.add(q)
                             else:
-                                s = s - x
+                                s = s.submul(a, c)
                                 if s.is_zero():
                                     del d[e2]
                                 else:
@@ -286,11 +288,19 @@ class GrassPoint:
                            max_pivot_bound=m.pos(m.ncomp, m.unpos(self.max_pivot_bound)[1]))
 
     def invariance_check(self) -> bool:
-        """True when sigma maps the frame into itself (certified)."""
+        """True when sigma maps the frame into itself (certified).  A cap-0
+        frame's sigma images are formed and reduced on its scalar view,
+        tail monomials mapped to their `Cyclo` constants as in
+        `_tangent_rows`."""
         # the tail below its lowest edge is sigma-stable; the rest is checked
         lows = [min(self.tail)] * len(self.tail) if self.tail else []
-        vectors = [self.rows[n] for n in sorted(self.rows)] + self.tail_monomials(lows)
-        return all(self.membership(v.sigma()) for v in vectors)
+        monomials = self.tail_monomials(lows)
+        U = self
+        if not self.ring.cap:
+            U = self.scalar_view()
+            monomials = [v.map_coeffs(JetPoly.constant_term) for v in monomials]
+        vectors = [U.rows[n] for n in sorted(U.rows)] + monomials
+        return all(U.membership(v.sigma()) for v in vectors)
 
     # ------------------------------------------------------------------ pairing dual
 
@@ -509,7 +519,12 @@ class GrassPoint:
         Each product z^e e_comp . row is the row's component comp shifted
         by e, on the window [row lo + e, min(row hi + e, frame top)) that
         `reduce` gives the series product; it is written straight into
-        coefficient maps and cleared by `_clear` on the scalar view.
+        coefficient maps and cleared by `_clear` on the scalar view.  No
+        product is cleared above the e = -depth product's top or the row's
+        starting `hi`, where no equation of the row is kept.  That changes
+        no kept equation: a scalar row is supported at and above its pivot,
+        so entries above the cap make none below it, and a row the cap
+        leaves unused has its pivot, and so its `hi`, at or above the cap.
         """
         m = self.model
         view = self.scalar_view()  # ValueError for a jet frame
@@ -533,12 +548,14 @@ class GrassPoint:
             # an entry outside the meet so far stays outside it
             lo, hi = _DEEP, top_pos + r.pos_window()[0]
             eqs = {}
+            # no product is cleared above the e = -depth product's top or
+            # the starting hi: no kept equation lies there
+            cap = min(r.hi - depth, top, m.exp_window(0, hi)[1])
             for comp, rd in enumerate(r.comps, 1):
                 for e in exps:
-                    e_top = min(r.hi + e, top)
                     comps = [{} for _ in range(m.ncomp)]
-                    comps[comp - 1] = {k + e: a for k, a in rd.items() if k + e < e_top}
-                    _, e_top, blocked = view._clear(comps, r.lo + e, e_top)
+                    comps[comp - 1] = {k + e: a for k, a in rd.items() if k + e < cap}
+                    _, e_top, blocked = view._clear(comps, r.lo + e, cap)
                     if blocked:
                         lo = max(lo, max(blocked) + 1)
                     hi = min(hi, m.pos_window(0, e_top)[1])
@@ -606,9 +623,13 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
                              "not a frame over this jet ring")
         lead = residual.pos_coeff(piv)
         shell.rows[piv] = residual.scale(lead.inverse())
-    # back-reduce: clear each row at the other rows' pivots and the tail
+    # back-reduce: clear each row at the other rows' pivots and the tail;
+    # a row with an entry at neither is returned unchanged by `_clear`
     for n in sorted(shell.rows):
         r = shell.rows[n]
+        if all(q == n or q not in shell.rows and not shell.in_tail(q)
+               for q, _ in r.pos_items()):
+            continue
         comps = [dict(d) for d in r.comps]
         lo, hi, _ = shell._clear(comps, r.lo, r.hi, skip=n)
         shell.rows[n] = VSeries(model, ring, comps, lo, hi)

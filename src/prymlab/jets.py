@@ -27,18 +27,23 @@ def _add_into(t: dict, d: dict) -> dict:
     return t
 
 
-def _mul_terms(d1: dict, d2: dict, hi) -> dict:
+def _mul_terms(d1: dict, d2: dict, hi, t=None) -> dict:
     """Product of two key -> coefficient maps, keys below hi: series exponents
-    below a window top, or jet monomial keys below `JetRing._bound`."""
-    t = {}
+    below a window top, or jet monomial keys below `JetRing._bound`.  Given
+    `t`, the product is added into it, in place.  A key that already holds
+    a value takes `s.addmul(c1, c2)`; the result is the same map as
+    summing the products one by one, though a key whose partial sum
+    cancels may be re-inserted later, in another order (no reader
+    depends on the order of a map's keys)."""
+    if t is None:
+        t = {}
     for e1, c1 in d1.items():
         for e2, c2 in d2.items():
             e = e1 + e2
             if e >= hi:
                 continue
-            c = c1 * c2
             s = t.get(e)
-            s = c if s is None else s + c
+            s = c1 * c2 if s is None else s.addmul(c1, c2)
             if s.is_zero():
                 t.pop(e, None)
             else:
@@ -219,6 +224,21 @@ class JetPoly:
         return JetPoly(self.ring, _mul_terms(self.terms, o.terms, self.ring._bound))
 
     __rmul__ = __mul__
+
+    def addmul(self, a: "JetPoly", c: "JetPoly") -> "JetPoly":
+        """self + a*c in one pass over the product's terms, each added into a
+        copy of `self.terms` by the `Cyclo` op; `a` and `c` are over this
+        ring (no coercion).  Equal to `self + a * c`: `==`, `hash` and
+        `to_text` compare or sort the term maps, so the order in which a
+        cancelled term comes back does not show."""
+        return JetPoly(self.ring, _mul_terms(a.terms, c.terms, self.ring._bound,
+                                             dict(self.terms)))
+
+    def submul(self, a: "JetPoly", c: "JetPoly") -> "JetPoly":
+        """self - a*c, as `addmul` of -a (the same as `self - a * c`)."""
+        neg = {k: -v for k, v in a.terms.items()}
+        return JetPoly(self.ring, _mul_terms(neg, c.terms, self.ring._bound,
+                                             dict(self.terms)))
 
     def inverse(self) -> "JetPoly":
         """Inverse of a unit: geometric series in the nilpotent part."""

@@ -9,7 +9,8 @@ def _eliminate(rows, p: int) -> dict:
     """Forward elimination of sparse {column: Cyclo} rows.
 
     Returns {pivot column: normalized row}; every row's lowest column is
-    its pivot, with coefficient one, and no two rows share a pivot.
+    its pivot, with coefficient one, and no two rows share a pivot.  Each
+    update is the fused `submul`, the same value as `s - factor * v`.
     """
     zero = Cyclo.zero(p)
     pivots = {}
@@ -24,7 +25,7 @@ def _eliminate(rows, p: int) -> dict:
                 break
             factor = row[col]
             for c, v in piv.items():
-                s = row.get(c, zero) - factor * v
+                s = row.get(c, zero).submul(factor, v)
                 if s.is_zero():
                     row.pop(c, None)
                 else:
@@ -49,7 +50,7 @@ def nullspace(equations, nunknowns: int, p: int):
             for c2, v in pivots[c].items():
                 if c2 == c:
                     continue
-                s = row.get(c2, zero) - factor * v
+                s = row.get(c2, zero).submul(factor, v)
                 if s.is_zero():
                     row.pop(c2, None)
                 else:

@@ -45,6 +45,14 @@ def _mul_mod(p: int, a, b) -> list:
     return [c - top for c in raw] if top else raw
 
 
+def _product(a: "Cyclo", c: "Cyclo"):
+    """(numerators, denominator) of a*c, not brought to lowest terms."""
+    p = a.p
+    if p == 2:
+        return (a._n[0] * c._n[0],), a._d * c._d
+    return _mul_mod(p, a._n, c._n), a._d * c._d
+
+
 class Cyclo:
     """Element of Q(xi_p) on the power basis {1, xi, ..., xi^(p-2)}.
 
@@ -181,6 +189,26 @@ class Cyclo:
         return Cyclo._new(p, _mul_mod(p, self._n, o._n), self._d * o._d)
 
     __rmul__ = __mul__
+
+    def addmul(self, a: "Cyclo", c: "Cyclo") -> "Cyclo":
+        """self + a*c in one step: one product modulo Phi_p and one gcd,
+        with no intermediate element.  `a` and `c` are `Cyclo` of this
+        field (no coercion).  The canonical form is unique, so this is
+        the same (_n, _d) as `self + a * c`."""
+        prod, pd = _product(a, c)
+        d = self._d
+        if d == pd:
+            return Cyclo._new(self.p, [x + y for x, y in zip(self._n, prod)], d)
+        return Cyclo._new(self.p, [x * pd + y * d for x, y in zip(self._n, prod)], d * pd)
+
+    def submul(self, a: "Cyclo", c: "Cyclo") -> "Cyclo":
+        """self - a*c in one step, as `addmul`: the same (_n, _d) as
+        `self - a * c`."""
+        prod, pd = _product(a, c)
+        d = self._d
+        if d == pd:
+            return Cyclo._new(self.p, [x - y for x, y in zip(self._n, prod)], d)
+        return Cyclo._new(self.p, [x * pd - y * d for x, y in zip(self._n, prod)], d * pd)
 
     def inverse(self) -> "Cyclo":
         """Multiplicative inverse: the product of the conjugates

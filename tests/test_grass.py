@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 import heapq
 import random
 import time
@@ -13,7 +14,7 @@ from prymlab.baker import _zone
 from prymlab.cli import run
 from prymlab.errors import FrameError, WindowError
 from prymlab.grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
-from prymlab.jets import JetRing
+from prymlab.jets import JetPoly, JetRing
 from prymlab.krichever import CurveSpec, FunctionRep, algebra_point, module_point
 from prymlab.linalg import nullspace, rank_of_vectors
 from prymlab.scalars import Cyclo
@@ -295,6 +296,89 @@ def test_algebra_point_check_detects_escape():
     U = build_frame(m, R, [VSeries.one(m, R), gen], tail=(-4,))
     assert U.index_chi() == 1 - 3  # kernel {0}, gaps {-2,-3,-4}
     assert not U.algebra_point_check()
+
+
+def _rebuilt(U, rows):
+    """A frame of `rows` with U's window and certificates."""
+    return build_frame(U.model, U.ring, rows, phi=U.phi, pivots_full_below=True,
+                       max_pivot_bound=U.max_pivot_bound)
+
+
+def _ring_check_skip_case():
+    # y^3 = x^4 + 1 at depth 8, the row at -7 dropped
+    U = algebra_point(CurveSpec(3, [1, 0, 0, 0, 1]), 8)
+    V = _rebuilt(U, [U.rows[n] for n in sorted(U.rows) if n != -7])
+    return V
+
+
+def test_ring_check_skip_case_is_not_an_algebra():
+    # row(-4) . row(-3) lies in the window and certifiably not in V
+    V = _ring_check_skip_case()
+    assert sorted(V.rows) == [-8, -6, -4, -3, 0] and V.stored_floor() == -8
+    prod = V.rows[-4] * V.rows[-3]
+    assert prod.leading_position() == -7 and prod.pos_window() == (-7, 12)
+    assert V.membership(prod) is False
+
+
+@pytest.mark.xfail(strict=True, reason="the ring check's window skip floors each "
+                   "pivot's exponent, p*(a//p + b//p) < floor, and so skips the pair "
+                   "(-4, -3), whose product's lowest position -7 is in the window")
+def test_ring_check_tests_every_pair_in_the_window():
+    assert not _ring_check_skip_case().algebra_point_check()
+
+
+def test_a_defect_in_a_rows_top_coefficients_fails_the_pairwise_check():
+    # p = 2: the row at -6 plus z1^-1 on its window.  The pairwise check
+    # finds the residual of row(-6) . row(-4) at -5; a check on the pivot
+    # semigroup's generators cannot, since each x-step of its ladder
+    # certifies p positions less than the pair's own window top
+    U = algebra_point(CurveSpec(2, [2, -1, 1, 3, -2, -1, 0, 1]), 10, 5)
+    r = U.rows[-6]
+    bump = VSeries(U.model, U.ring, VSeries.monomial(U.model, U.ring, 1, -1).comps,
+                   r.lo, r.hi)
+    V = _rebuilt(U, [r + bump if n == -6 else U.rows[n] for n in sorted(U.rows)])
+    assert sorted(V.rows) == sorted(U.rows)
+    residual = V.certified_residual(V.rows[-6] * V.rows[-4], "membership")
+    assert residual.leading_position() == -5
+    assert not V.algebra_point_check()
+
+
+def test_invariance_reduces_on_the_scalar_view(monkeypatch):
+    cases = [algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 12),
+             algebra_point(CurveSpec(3, [-1, 0, 0, 0, 0, 0, 1]), 10),
+             random_point(random.Random(7), Model(3, "NR"), scalar_ring(3)),
+             u_n_point(Model(3, "R"), scalar_ring(3), 2, 0),
+             u_n_point(Model(2, "NR"), scalar_ring(2), 1, -1),
+             build_frame(Model(3, "NR"), scalar_ring(3), [], tail=(0, 0, 1)),
+             build_frame(Model(3, "NR"), scalar_ring(3), [], tail=(1, 0, 1))]
+    verdicts = []
+    for U in cases:
+        # the jet path: every row and tail monomial's image reduced as a jet
+        lows = [min(U.tail)] * len(U.tail) if U.tail else []
+        want = all(U.membership(v.sigma()) for v in
+                   [U.rows[n] for n in sorted(U.rows)] + U.tail_monomials(lows))
+        frames = []
+        membership = GrassPoint.membership
+        monkeypatch.setattr(GrassPoint, "membership",
+                            lambda self, v: frames.append(self) or membership(self, v))
+        assert U.invariance_check() == want
+        monkeypatch.undo()
+        assert frames and all(F is U.scalar_view() for F in frames)
+        verdicts.append(want)
+    assert set(verdicts) == {True, False}
+
+
+def test_the_ramified_sigma_image_back_reduces_nothing(monkeypatch):
+    # sigma scales a reduced row's entries by powers of xi, so its image
+    # meets no other pivot: `build_frame` clears each image once, forward
+    U = algebra_point(CurveSpec(3, [1, 2, 0, -1, 0, 0, 0, 3, 0, 0, 1]), 12)
+    calls = []
+    clear = GrassPoint._clear
+    monkeypatch.setattr(GrassPoint, "_clear", lambda self, comps, lo, hi, skip=None:
+                        calls.append(skip) or clear(self, comps, lo, hi, skip))
+    S = U.sigma_point()
+    assert sorted(S.rows) == sorted(U.rows)
+    assert len(calls) == len(U.rows) and set(calls) == {None}
 
 
 def test_connectedness_lines_point():
@@ -609,6 +693,105 @@ def test_tangent_reduces_each_product_once(monkeypatch, name):
     # every product is one reduction, on the scalar view
     assert len(calls) == len(keys)
     assert all(frame is view for frame in calls)
+
+
+def _uncapped_tangent_system(U, depth):
+    """The tangent system as `tangent_orbit_dim` wrote it before each
+    product's clearing was capped: every product is cleared up to
+    min(row hi + e, frame top)."""
+    m = U.model
+    view = U.scalar_view()
+    p = m.p
+    top = m.exp_window(0, U.phi)[1]
+    e_hi = depth + 2 if _isinf(top) else max(depth + 2, top - 1)
+    exps = range(-depth, e_hi)
+    if m.case == "R":
+        unknowns = [(e % p, e) for e in exps]
+    else:
+        unknowns = [(c, e) for c in range(p) for e in exps]
+    col = {u: k for k, u in enumerate(unknowns)}
+    equations = [{col[(0, e)]: Cyclo.one(p)} for e in exps if e and (0, e) in col]
+    weights = [[(c, m.xi_pow(c * i) if c * i % p else None) for c in range(p)]
+               for i in range(m.ncomp)]
+    top_pos = m.pos(1, e_hi)
+    for r in view._tangent_rows(depth):
+        lo, hi = -(10 ** 9), top_pos + r.pos_window()[0]
+        eqs = {}
+        for comp, rd in enumerate(r.comps, 1):
+            for e in exps:
+                e_top = min(r.hi + e, top)
+                comps = [{} for _ in range(m.ncomp)]
+                comps[comp - 1] = {k + e: a for k, a in rd.items() if k + e < e_top}
+                _, e_top, blocked = view._clear(comps, r.lo + e, e_top)
+                if blocked:
+                    lo = max(lo, max(blocked) + 1)
+                hi = min(hi, m.pos_window(0, e_top)[1])
+                targets = [(e % p, None)] if m.case == "R" else weights[comp - 1]
+                for ci, d in enumerate(comps, 1):
+                    for k, a in d.items():
+                        q = m.pos(ci, k)
+                        if not lo <= q < hi:
+                            continue
+                        for c, w in targets:
+                            x = a if w is None else a * w
+                            eq = eqs.setdefault((c, q), {})
+                            u = col[(c, e)]
+                            eq[u] = eq[u] + x if u in eq else x
+        equations.extend(eq for (_, q), eq in eqs.items() if lo <= q < hi)
+    return equations, len(unknowns)
+
+
+@pytest.mark.parametrize("name", TANGENT_CASES)
+def test_tangent_cap_keeps_the_system(monkeypatch, name):
+    # no product is cleared above the first product's top: the system
+    # handed to `nullspace` is the same equations, keys and order
+    U, depth, _ = _tangent_case(name)
+    want, want_n = _uncapped_tangent_system(U, depth)
+    systems = []
+
+    def recording(equations, nunknowns, p):
+        systems.append(([list(eq.items()) for eq in equations], nunknowns))
+        return nullspace(equations, nunknowns, p)
+
+    monkeypatch.setattr(grass, "nullspace", recording)
+    U.tangent_orbit_dim(depth)
+    [(got, n)] = systems
+    assert n == want_n
+    assert got == [list(eq.items()) for eq in want]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scalar_reduce_with_big_coefficients_matches_reference(p):
+    # the fused `submul` in `_clear` on 60-bit rationals, on a scalar view
+    rng = random.Random("big-reduce:%d" % p)
+
+    def big():
+        return Cyclo(p, [Fraction(rng.randint(-2 ** 60, 2 ** 60), rng.randint(1, 2 ** 60))
+                         for _ in range(p - 1)])
+
+    for case in ("R", "NR"):
+        m = Model(p, case)
+        ring = scalar_ring(p)
+        for trial in range(3):
+            edge = m.pos(1, -2)
+            data = []
+            for piv in sorted(rng.sample(range(edge, edge + 6 * p), 3)):
+                row = {piv: ring.one()}
+                row.update({q: ring.const(big()) for q in range(piv + 1, edge + 7 * p)
+                            if rng.random() < 0.5})
+                data.append(VSeries.from_positions(m, ring, row))
+            U = build_frame(m, ring, data, tail=(-2,) * m.ncomp).scalar_view()
+            for _ in range(4):
+                v = VSeries.from_positions(m, ring, {
+                    q: big() for q in range(edge - 2, edge + 8 * p) if rng.random() < 0.6})
+                v = v.map_coeffs(JetPoly.constant_term)
+                got, want = U.reduce(v), _reference_reduce(U, v)
+                assert got[0] == want[0] and got[1] == want[1]
+                # the reference subtracts tail monomials as jets
+                want = want[0].map_coeffs(
+                    lambda c: c.constant_term() if isinstance(c, JetPoly) else c)
+                assert [{e: (c._n, c._d) for e, c in d.items()} for d in got[0].comps] \
+                    == [{e: (c._n, c._d) for e, c in d.items()} for d in want.comps]
 
 
 def _random_jet(rng, ring, p):

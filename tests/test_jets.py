@@ -322,3 +322,81 @@ def test_integer_keys_match_reference(p, nvars):
             _same(a.map_vars(W, mapping), ra.map_vars(wide, cap, mapping))
             by_name = {v: (None, W.index[n]) for v, n in enumerate(names)}
             _same(a.lift(W), ra.map_vars(wide, cap, by_name))
+
+
+# ------------------------------------------------------------------ fused multiply-accumulate
+
+
+def _same_map(got, want):
+    """Equal term maps, coefficient by coefficient down to (_n, _d)."""
+    assert got.terms == want.terms
+    assert all((c._n, c._d) == (want.terms[k]._n, want.terms[k]._d)
+               for k, c in got.terms.items())
+    assert got == want and hash(got) == hash(want) and got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_fused_ops_match_two_steps(p, cap):
+    rng = random.Random("fused:%d:%d" % (p, cap))
+    R = JetRing(p, ("t1", "t2", "t3"), cap)
+    for _ in range(20):
+        # up to degree 2 per factor: at caps 1-2 products pass the cap
+        s, a, c = (_rand_pair(rng, R, 5)[0] for _ in range(3))
+        _same_map(s.addmul(a, c), s + a * c)
+        _same_map(s.submul(a, c), s - a * c)
+        _same_map(R.zero().addmul(a, c), a * c)
+        # partial sums that cancel, and a total that does
+        _same_map((a * c).submul(a, c), R.zero())
+        _same_map((s + a * c).submul(a, c), s)
+        _same_map((s - a * c).addmul(a, c), s)
+        assert s.addmul(a, R.zero()) == s and s.submul(R.zero(), c) == s
+
+
+def _parent_mul_terms(d1, d2, hi):
+    """The product loop as it was before the fused op: a product, then a sum."""
+    t = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            e = e1 + e2
+            if e >= hi:
+                continue
+            c = c1 * c2
+            s = t.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                t.pop(e, None)
+            else:
+                t[e] = s
+    return t
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mul_terms_matches_the_two_step_loop(p):
+    from prymlab.jets import _mul_terms
+
+    rng = random.Random("mul_terms:%d" % p)
+    for cap in (0, 1, 2):
+        R = JetRing(p, ("t1", "t2"), cap)
+        for _ in range(10):
+            # series-like maps of jet coefficients
+            d1 = {e: _rand_pair(rng, R, 3)[0] for e in range(-3, 4) if rng.random() < 0.7}
+            d2 = {e: _rand_pair(rng, R, 3)[0] for e in range(-2, 5) if rng.random() < 0.7}
+            # at key 21 the first two products cancel and the third comes
+            # back: the fused loop re-inserts it at the end of the map
+            x, y, z = (_rand_pair(rng, R, 2)[0] + 1 for _ in range(3))
+            d1.update({10: x, 11: x, 12: x})
+            d2.update({10: y, 11: -y, 9: z})
+            d1 = {e: c for e, c in d1.items() if c}
+            d2 = {e: c for e, c in d2.items() if c}
+            for hi in (float("inf"), 22, 3, 0):
+                got, want = _mul_terms(d1, d2, hi), _parent_mul_terms(d1, d2, hi)
+                assert got.keys() == want.keys()
+                for e in got:
+                    _same_map(got[e], want[e])
+            # jet monomial keys, below the ring's bound
+            a, c = _rand_pair(rng, R, 6)[0], _rand_pair(rng, R, 6)[0]
+            got = _mul_terms(a.terms, c.terms, R._bound)
+            want = _parent_mul_terms(a.terms, c.terms, R._bound)
+            assert got == want
+            assert all((v._n, v._d) == (want[k]._n, want[k]._d) for k, v in got.items())

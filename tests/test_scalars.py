@@ -404,3 +404,42 @@ def test_one_is_shared():
         assert Cyclo.one(p) == 1 and Cyclo.one(p).coeffs[0] == 1
     with pytest.raises(ValueError):
         Cyclo.one(6)
+
+
+# ------------------------------------------------------------------ fused multiply-accumulate
+#
+# `addmul`/`submul` are the inner statement of the product, reduction and
+# elimination kernels.  Canonical form is unique, so each must give the
+# very (_n, _d) of the two-step `s + a*c` / `s - a*c`.
+
+
+def _fused_operands(rng, p, kind):
+    """(s, a, c) of one kind of input."""
+    (a, _), (c, _) = _ref_pair(rng, p, kind)
+    if kind == "zero":
+        return Cyclo.zero(p), a, c
+    (s, _), _ = _ref_pair(rng, p, kind)
+    return s, a, c
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fused_ops_match_two_steps(p, kind):
+    rng = random.Random("fused:%d:%s" % (p, kind))
+    for _ in range(30):
+        s, a, c = _fused_operands(rng, p, kind)
+        for got, want in ((s.addmul(a, c), s + a * c), (s.submul(a, c), s - a * c)):
+            assert (got._n, got._d) == (want._n, want._d)
+            assert got == want and hash(got) == hash(want)
+        # s over the product's denominator a._d * c._d, before lowest terms
+        pd = a._d * c._d
+        t = Cyclo(p, [Fraction(1, pd)] + [Fraction(rng.randint(-pd, pd), pd)
+                                          for _ in range(p - 2)])
+        assert t._d == pd
+        for got, want in ((t.addmul(a, c), t + a * c), (t.submul(a, c), t - a * c)):
+            assert (got._n, got._d) == (want._n, want._d)
+        # results that cancel to the canonical zero
+        for zero in ((a * c).submul(a, c), (-(a * c)).addmul(a, c),
+                     (a * c).addmul(-a, c)):
+            assert (zero._n, zero._d) == ((0,) * (p - 1), 1) and zero.is_zero()
+        assert Cyclo.zero(p).submul(a, c) == -(a * c)
