@@ -56,11 +56,6 @@ def _monomials(model: Model, ring: JetRing, exps) -> VSeries:
     return VSeries(model, ring, [{e: ring.one()} for e in exps], min(exps), INF)
 
 
-def normalizing_element(model: Model, ring: JetRing, m: int) -> VSeries:
-    """The index-m normalizing element v_m."""
-    return _monomials(model, ring, _zone(model, m))
-
-
 def v_over_z(model: Model, ring: JetRing, m: int) -> VSeries:
     """v_m / z_. as an exact monomial vector."""
     return _monomials(model, ring, [e - 1 for e in _zone(model, m)])

@@ -213,6 +213,9 @@ def _row(name: str, point: GrassPoint) -> tuple:
     """The row of check `name`.  An identity's value is "0" or its witness
     at the deepest certified flow depth, and its verdict is decided on
     whether it vanishes; ValueError if it does not apply to the point."""
+    if name == "connectedness" and point.model.case != "NR":
+        raise ValueError("check connectedness needs the NR model; this point is %s"
+                         % point.model.case)
     if name in CHECKS:
         return CHECKS[name]
 
@@ -226,13 +229,13 @@ def _row(name: str, point: GrassPoint) -> tuple:
     return 2, identity(name, point.model).expect, evaluate
 
 
-def run_check(name: str, point: GrassPoint, cfg: dict) -> dict:
-    """One check's report entry."""
+def run_check(name: str, row: tuple, point: GrassPoint, cfg: dict) -> dict:
+    """The report entry of check `name`, whose row (`_row`) is `row`."""
     out = {"window": [point.stored_floor(), point.phi
                       if point.phi != float("inf") else None],
            "cap": cfg["jet_cap"]}
     expect = (cfg.get("expect") or {}).get(name)
-    _, default, evaluate = _row(name, point)
+    _, default, evaluate = row
     try:
         got = evaluate(point, cfg, out)
     except (WindowError, FrameError) as e:
@@ -255,28 +258,24 @@ def _attempts(name: str, point: GrassPoint, cfg: dict):
 
 def run(cfg: dict) -> dict:
     cfg = parse_config(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     point = build_point(cfg)
     report = {"config": {k: v for k, v in cfg.items() if k != "out"},
-              "checks": {}, "timing": {"build": round(time.time() - t0, 6)}}
-    order = sorted(cfg["checks"], key=lambda n: (
-        CHECKS[n][0] if n in CHECKS else 2, cfg["checks"].index(n)))
-    names = list(dict.fromkeys(order))
-    for n in names:
-        if n == "connectedness" and point.model.case != "NR":
-            raise ConfigError("check connectedness needs the NR model; this point is %s"
-                              % point.model.case)
+              "checks": {}, "timing": {"build": round(time.perf_counter() - t0, 6)}}
+    rows = {}
+    for n in dict.fromkeys(cfg["checks"]):
         try:
-            _row(n, point)
+            rows[n] = _row(n, point)
         except ValueError as e:
             raise ConfigError(str(e))
-    for n in names:
-        t1 = time.time()
-        report["checks"][n] = run_check(n, point, cfg)
-        report["timing"][n] = round(time.time() - t1, 6)
+    # by phase, and in the config's order within a phase
+    for n, row in sorted(rows.items(), key=lambda item: item[1][0]):
+        t1 = time.perf_counter()
+        report["checks"][n] = run_check(n, row, point, cfg)
+        report["timing"][n] = round(time.perf_counter() - t1, 6)
         if n not in CHECKS:
             report["timing"].setdefault("attempts", {})[n] = _attempts(n, point, cfg)
-    report["timing"]["total"] = round(time.time() - t0, 6)
+    report["timing"]["total"] = round(time.perf_counter() - t0, 6)
     report["verdict"] = overall_verdict(report)
     return report
 
@@ -344,8 +343,11 @@ def _load_config(args) -> dict:
 def _emit(report: dict, out_path):
     text = json.dumps(jsonable(report), indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise ConfigError("cannot write report: %s" % e)
     else:
         print(text)
 
@@ -357,12 +359,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("%s: %s" % (self.prog, message))
 
 
-def main(argv=None) -> int:
+def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON job configuration")
     common.add_argument("--window", default=argparse.SUPPRESS,
-                        help="override window as lo:hi")
+                        help="override the window: --window=lo:hi (with the =, "
+                        "since lo is usually negative)")
     common.add_argument("--jet-cap", dest="jet_cap", type=int,
                         default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS,
@@ -385,8 +388,16 @@ def main(argv=None) -> int:
     ps.add_argument("--case", choices=["R", "NR"], default="R")
     ps.add_argument("--n", type=int, default=1)
     ps.add_argument("--start", type=int, default=2)
+    return ap
+
+
+# built once per process: parsing leaves no state in it
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     try:
-        ns = ap.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
         args = argparse.Namespace(config=None, window=None, jet_cap=None, out=None)
         for k, v in vars(ns).items():
             setattr(args, k, v)

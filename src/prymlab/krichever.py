@@ -105,15 +105,6 @@ class FunctionRep:
     def one():
         return FunctionRep({(0, 0): 1})
 
-    def sigma_curve(self, p: int) -> "FunctionRep":
-        """Substitute y -> zeta_p * y in numerator and denominator."""
-        zeta = Cyclo.xi_power(p, 1)
-
-        def tw(d):
-            return {(a, b): zeta ** b * c for (a, b), c in d.items()}
-
-        return FunctionRep(tw(self.num), tw(self.den))
-
     @staticmethod
     def from_json(obj) -> "FunctionRep":
         """[[a, b, "coeff"], ...] or {"num": [...], "den": [...]}."""

@@ -258,12 +258,6 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not any(self._n)
 
-    def is_rational(self):
-        """Return (True, value) when the element lies in Q, else (False, None)."""
-        if any(self._n[1:]):
-            return False, None
-        return True, Fraction(self._n[0], self._d)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -300,21 +294,3 @@ class Cyclo:
             else:
                 parts.append("%s*x^%d" % (c, k))
         return " + ".join(parts) if parts else "0"
-
-    @staticmethod
-    def from_text(p: int, text: str) -> "Cyclo":
-        coeffs = [Fraction(0)] * (p - 1)
-        text = text.strip()
-        if text in ("", "0"):
-            return Cyclo(p, coeffs)
-        for part in text.replace("- ", "+ -").split("+"):
-            part = part.strip()
-            if not part:
-                continue
-            if "*x" in part:
-                c, _, tail = part.partition("*x")
-                k = int(tail[1:]) if tail.startswith("^") else 1
-            else:
-                c, k = part, 0
-            coeffs[k] += Fraction(c.strip())
-        return Cyclo(p, coeffs)

@@ -361,10 +361,6 @@ class VSeries:
     def __hash__(self):
         raise TypeError("VSeries is not hashable")
 
-    def same_data(self, other: "VSeries") -> bool:
-        """Equal stored coefficients, windows ignored."""
-        return self.comps == other.comps
-
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other: "VSeries"):

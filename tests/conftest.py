@@ -10,6 +10,12 @@ def rand_scalar(rng, p, span=4):
     return Cyclo(p, [Fraction(rng.randint(-span, span)) for _ in range(p - 1)])
 
 
+def is_rational(c):
+    """(True, value) when the Cyclo c lies in Q, else (False, None)."""
+    first, *rest = c.coeffs
+    return (False, None) if any(rest) else (True, first)
+
+
 def random_point(rng, model, ring, span=6, nrows=3, tail_shift=None):
     """Random synthetic frame: monomial tail plus perturbed rows above it."""
     p = model.p

@@ -511,3 +511,71 @@ def test_bkp_gen_takes_one_flow_block_per_component_at_p_7(tmp_path):
     assert main(["--config", str(cfg_path), "--out", str(out), "check"]) == 0
     check = json.loads(out.read_text())["checks"]["BKP_GEN"]
     assert check["value"] == "0" and check["flow_depth"] == 1
+
+
+def _report_window(argv, out):
+    assert main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())["config"]["window"]
+
+
+def test_a_negative_window_is_given_with_the_equals_form(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(y2x5_config(checks=["chi"])))
+    out = tmp_path / "r.json"
+    assert _report_window(["check", "--config", str(cfg_path), "--window=-8:10"],
+                          out) == [-8, 10]
+    # without the =, argparse reads -8:10 as an option
+    _one_line_config_error(capsys, main(["check", "--config", str(cfg_path),
+                                         "--window", "-8:10"]))
+
+
+def test_the_parser_is_built_once(tmp_path, monkeypatch):
+    from prymlab import cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(y2x5_config(checks=["chi"])))
+    for _ in range(2):
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "r.json"),
+                     "check"]) == 0
+    assert built == []
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(y2x5_config(checks=["chi"])))
+    out = tmp_path / "r.json"
+    assert _report_window(["check", "--config", str(cfg_path), "--window=-8:10"],
+                          out) == [-8, 10]
+    assert _report_window(["check", "--config", str(cfg_path)], out) == [-16, 26]
+    # a flag before the subcommand is kept when none follows it
+    assert _report_window(["--window=-8:10", "check", "--config", str(cfg_path)],
+                          out) == [-8, 10]
+    assert _report_window(["--config", str(cfg_path), "check"], out) == [-16, 26]
+
+
+def test_connectedness_on_a_ramified_point_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(y2x5_config(checks=["chi", "connectedness"])))
+    assert main(["--config", str(cfg_path), "check"]) == 3
+    assert capsys.readouterr().err == (
+        "config error: check connectedness needs the NR model; this point is R\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", "CFG"],
+    ["curve-info", "--p", "2", "--f=-1,0,0,0,0,1"],
+])
+def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(y2x5_config(checks=["chi"])))
+    argv = [str(cfg_path) if a == "CFG" else a for a in argv]
+    out = tmp_path / "no-such-dir" / "r.json"
+    _one_line_config_error(capsys, main(argv + ["--out", str(out)]))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_rational
+
 from prymlab.scalars import Cyclo
 
 
@@ -25,7 +27,7 @@ def test_inverse_of_xi_p5():
 
 def test_p2_degenerates_to_rationals():
     a = Cyclo.rational(2, Fraction(-7, 3))
-    ok, val = a.is_rational()
+    ok, val = is_rational(a)
     assert ok and val == Fraction(-7, 3)
     assert Cyclo.xi_power(2, 1) == Cyclo.rational(2, -1)
 
@@ -33,9 +35,9 @@ def test_p2_degenerates_to_rationals():
 def test_is_rational():
     p = 3
     s = Cyclo.one(p) + Cyclo.xi_power(p, 1) + Cyclo.xi_power(p, 2)
-    ok, val = s.is_rational()
+    ok, val = is_rational(s)
     assert ok and val == 0
-    ok, _ = Cyclo.xi_power(p, 1).is_rational()
+    ok, _ = is_rational(Cyclo.xi_power(p, 1))
     assert not ok
 
 
@@ -55,14 +57,6 @@ def test_field_axioms_random(p):
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Cyclo.zero(5).inverse()
-
-
-def test_text_roundtrip():
-    rng = random.Random(7)
-    for p in (2, 3, 5):
-        for _ in range(10):
-            a = rand_cyclo(rng, p)
-            assert Cyclo.from_text(p, a.to_text()) == a
 
 
 def test_pow_and_xi_reduction():
@@ -370,14 +364,12 @@ def test_matches_the_fraction_reference(p, kind):
         assert (a == b) == (ra == rb)
         assert a == Cyclo(p, ra.coeffs) and a != a + 1
         assert a.is_zero() == ra.is_zero() and bool(a) == (not ra.is_zero())
-        assert a.is_rational() == ra.is_rational()
-        ok, value = a.is_rational()
+        assert is_rational(a) == ra.is_rational()
+        ok, value = is_rational(a)
         if ok:
             assert type(value) is Fraction and a == value and a == Cyclo.rational(p, value)
             if value.denominator == 1:
                 assert a == value.numerator
-        _same(Cyclo.from_text(p, a.to_text()), ra)
-        _same(Cyclo.from_text(p, (a * b).to_text()), ra * rb)
 
 
 def test_equal_values_hash_equal_whatever_their_history():

@@ -106,7 +106,7 @@ def test_sigma_order_p(case):
         m = Model(p, case)
         R = scalar_ring(p)
         a = rand_vseries(rng, m, R)
-        assert a.sigma_power(p).same_data(a)
+        assert a.sigma_power(p).comps == a.comps
 
 
 # ---------------------------------------------------------------- trace / norm
