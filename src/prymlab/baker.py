@@ -105,7 +105,7 @@ def baker_akhiezer(U: GrassPoint, coords) -> BAFunction:
     m = U.index_chi()
     zone = _zone(model, m)
     E = v_over_z(model, ring, m) * flow_exponential(model, ring, coords)
-    residual = U.certified_residual(E, "wave solve")
+    residual = U.reduce(E, "wave solve")
     u = E - residual
     # big cell: U cap v_m V+ = 0, and the residual lives in v_m V+ (no
     # obstruction at deep gap positions)
@@ -117,7 +117,7 @@ def baker_akhiezer(U: GrassPoint, coords) -> BAFunction:
 def wave_solve_blocked(U: GrassPoint, reach: int) -> list:
     """Positions below the stored window that the wave solve of a scalar
     frame U needs when its flow exponential reaches z_.^-`reach` (the ring
-    cap times the flow depth): where `certified_residual` would raise."""
+    cap times the flow depth): where `reduce` would raise."""
     floor = U.stored_floor()
     if floor is None or not U.pivots_full_below:
         return []
@@ -369,5 +369,5 @@ def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:
     # sigma^{-1} of the monomial vector v_m/z_., times the substituted flow
     E = v_over_z(model, ring, UL.index_chi()).sigma_power(model.p - 1) \
         * flow_exponential(model, ring, tpp)
-    residual = UL.certified_residual(E, "transform check")
+    residual = UL.reduce(E, "transform check")
     return (lhs.u - (E - residual).sigma()).is_zero_certified()

@@ -2,9 +2,9 @@
 
 Subcommands: check, curve-info, identity, prym-search.
 Exit codes: 0 all pass, 1 any fail, 2 window-insufficient, 3 config error.
-Reports are JSON with rationals rendered as "a/b" strings and cyclotomic
-numbers as coefficient arrays; re-running the embedded config reproduces
-the report except for the timing block.
+Reports hold only JSON numbers, bools, strings, lists, objects and nulls
+(an identity witness is jet text); re-running the embedded config
+reproduces the report except for the timing block.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .baker import IDENTITIES, certified_identity, identity
 from .errors import ConfigError, FrameError, PrymlabError, WindowError
@@ -21,32 +20,7 @@ from .grass import GrassPoint, build_frame, lines_point, u_n_point, v_minus
 from .jets import JetRing
 from .krichever import (CurveSpec, FunctionRep, algebra_point, curve_invariants, module_point,
                         rational_from_json)
-from .scalars import Cyclo
 from .vseries import Model, VSeries
-
-
-# ----------------------------------------------------------------- serialization
-
-
-def rat_text(q: Fraction) -> str:
-    return "%d/%d" % (q.numerator, q.denominator) if q.denominator != 1 \
-        else str(q.numerator)
-
-
-def cyclo_json(c: Cyclo):
-    return [rat_text(q) for q in c.coeffs]
-
-
-def jsonable(x):
-    if isinstance(x, Fraction):
-        return rat_text(x)
-    if isinstance(x, Cyclo):
-        return cyclo_json(x)
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    return x
 
 
 # ----------------------------------------------------------------- configuration
@@ -341,7 +315,7 @@ def _load_config(args) -> dict:
 
 
 def _emit(report: dict, out_path):
-    text = json.dumps(jsonable(report), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
         try:
             with open(out_path, "w") as fh:

@@ -53,9 +53,6 @@ class FlowCoords:
     def get(self, key) -> JetPoly:
         return self.coords.get(key, self.ring.zero())
 
-    def indices(self):
-        return sorted(self.coords, key=lambda k: (k if isinstance(k, tuple) else (0, k)))
-
     def __eq__(self, other):
         if not isinstance(other, FlowCoords):
             return NotImplemented
@@ -85,13 +82,6 @@ class FlowCoords:
             return flow_exponential(self.model, self.ring, self.coords)
         arg = BaseSeries(self.ring, {-j: c for j, c in self.coords.items()})
         return vseries_exp(base_to_v(self.model, self.ring, arg))
-
-    def to_text(self) -> str:
-        parts = []
-        for k in self.indices():
-            label = "%d,%d" % k if isinstance(k, tuple) else "%d" % k
-            parts.append("%s:%s" % (label, self.coords[k].to_text()))
-        return "; ".join(parts) if parts else "0"
 
 
 def base_to_v(model: Model, ring: JetRing, b: BaseSeries) -> VSeries:

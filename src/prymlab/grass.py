@@ -152,13 +152,11 @@ class GrassPoint:
 
     # ------------------------------------------------------------------ reduction
 
-    def reduce(self, v: VSeries):
-        """Reduce v against the frame.
-
-        Returns (residual, blocked): `blocked` lists positions where a
-        non-materialized deep row would be needed.  The residual is
-        certified below min(v window, frame window).  v must be over the
-        frame's jet ring (`ValueError` otherwise).
+    def reduce(self, v: VSeries, what: str) -> VSeries:
+        """The residual of v against the frame, certified below min(v
+        window, frame window); `WindowError` (naming `what`) if it is
+        nonzero below the stored window, where a deep row would clear it.
+        v must be over the frame's jet ring (`ValueError` otherwise).
         """
         if not self.ring.compatible(v.ring):
             raise ValueError("mixed jet rings")
@@ -166,10 +164,10 @@ class GrassPoint:
         if not _isinf(self.phi):
             hi = min(hi, self.model.exp_window(0, self.phi)[1])
         comps = [{e: c for e, c in d.items() if e < hi} for d in v.comps]
-        lo, hi, blocked = self._clear(comps, v.lo, hi)
-        return VSeries(self.model, self.ring, comps, lo, hi), blocked
+        lo, hi = self._clear(comps, v.lo, hi, what)
+        return VSeries(self.model, self.ring, comps, lo, hi)
 
-    def _clear(self, comps, lo, hi, skip=None):
+    def _clear(self, comps, lo, hi, what, skip=None):
         """Clear `comps` in place at the tail and at every row pivot but `skip`.
 
         `comps` holds one exponent -> coefficient map per component, all
@@ -186,16 +184,17 @@ class GrassPoint:
         reduction takes one pass; a jet row's nilpotent entries below its
         pivot can need more.  An entry already present takes the fused
         `submul`, which gives the same value as `s - a * c`; a fresh one is
-        `-(a * c)`.  Returns (lo, hi, blocked), `blocked` as for
-        `reduce`; [lo, hi) is the common window of the input and every row
-        used.  Only a full-below frame without a tail can block: a tail
-        holds every position under the floor that no row holds.  Such a
-        frame is complete before it is read (`build_frame`'s shell is not
-        full below), so its floor is computed once.
+        `-(a * c)`.  Returns [lo, hi), the common window of the input and
+        every row used; raises the `below_window_error` of `what` if an
+        entry is left nonzero at a blocked position.  Only a full-below
+        frame without a tail can block: a tail holds every position under
+        the floor that no row holds.  Such a frame is complete before it is
+        read (`build_frame`'s shell is not full below), so its floor is
+        computed once.
         """
         m = self.model
         rows, tail = self.rows, self.tail
-        blocked = set()
+        blocked = {}  # position -> (its map, its exponent)
         floor = self.once("floor", self.stored_floor) \
             if self.pivots_full_below and tail is None else None
         for _ in range(self.ring.cap + 2):
@@ -245,19 +244,13 @@ class GrassPoint:
                                 else:
                                     d[e2] = s
                 elif floor is not None and n < floor:
-                    blocked.add(n)
+                    blocked[n] = t, e
             if not below:
                 break
-        return lo, hi, blocked
-
-    def certified_residual(self, v: VSeries, what: str) -> VSeries:
-        """The residual of v, or `WindowError` if it is nonzero at a
-        position below the stored window, where a deep row would clear it."""
-        residual, blocked = self.reduce(v)
-        bad = [n for n in blocked if not residual.pos_coeff(n).is_zero()]
+        bad = [n for n, (t, e) in blocked.items() if e in t and not t[e].is_zero()]
         if bad:
             raise self.below_window_error(what, bad)
-        return residual
+        return lo, hi
 
     def below_window_error(self, what: str, bad) -> WindowError:
         """The error of a `what` needing rows at positions `bad` below the window."""
@@ -266,7 +259,7 @@ class GrassPoint:
 
     def membership(self, v: VSeries) -> bool:
         """Certified membership of v within the common window."""
-        return self.certified_residual(v, "membership").is_zero_certified()
+        return self.reduce(v, "membership").is_zero_certified()
 
     def contains_unit_vector(self, i: int) -> bool:
         return self.membership(VSeries.unit_vector(self.model, self.ring, i))
@@ -340,10 +333,7 @@ class GrassPoint:
         pivots = sorted(self.rows)
         d0 = self.d_full()
         for g in range(d0, gap_hi + 1):
-            try:
-                if self.is_pivot(g):
-                    continue
-            except WindowError:
+            if self.is_pivot(g):
                 continue
             if tail2 is not None and m.unpos(g)[1] > tops[m.unpos(g)[0] - 1]:
                 continue  # clean gap: covered by the dual tail
@@ -486,11 +476,7 @@ class GrassPoint:
             if U.tail is None and floor is not None \
                     and p * (a // p + b // p) < floor:
                 continue  # product escapes the stored window
-            prod = U.rows[a] * U.rows[b]
-            lo_p, hi_p = prod.pos_window()
-            if not _isinf(hi_p) and hi_p <= lo_p + 1:
-                continue
-            if not U.membership(prod):
+            if not U.membership(U.rows[a] * U.rows[b]):
                 return False
         return True
 
@@ -519,7 +505,9 @@ class GrassPoint:
         Each product z^e e_comp . row is the row's component comp shifted
         by e, on the window [row lo + e, min(row hi + e, frame top)) that
         `reduce` gives the series product; it is written straight into
-        coefficient maps and cleared by `_clear` on the scalar view.  No
+        coefficient maps and cleared by `_clear` on the scalar view, which
+        raises `WindowError` for a product that needs rows below the stored
+        window (`_tangent_rows` leaves out the rows whose products could).  No
         product is cleared above the e = -depth product's top or the row's
         starting `hi`, where no equation of the row is kept.  That changes
         no kept equation: a scalar row is supported at and above its pivot,
@@ -545,8 +533,8 @@ class GrassPoint:
         top_pos = m.pos(1, e_hi)
         for r in view._tangent_rows(depth):
             # the row's equations hold on the meet of its products' windows;
-            # an entry outside the meet so far stays outside it
-            lo, hi = _DEEP, top_pos + r.pos_window()[0]
+            # an entry above the meet so far stays above it
+            hi = top_pos + r.pos_window()[0]
             eqs = {}
             # no product is cleared above the e = -depth product's top or
             # the starting hi: no kept equation lies there
@@ -555,22 +543,20 @@ class GrassPoint:
                 for e in exps:
                     comps = [{} for _ in range(m.ncomp)]
                     comps[comp - 1] = {k + e: a for k, a in rd.items() if k + e < cap}
-                    _, e_top, blocked = view._clear(comps, r.lo + e, cap)
-                    if blocked:
-                        lo = max(lo, max(blocked) + 1)
+                    _, e_top = view._clear(comps, r.lo + e, cap, "orbit tangent")
                     hi = min(hi, m.pos_window(0, e_top)[1])
                     targets = [(e % p, None)] if m.case == "R" else weights[comp - 1]
                     for ci, d in enumerate(comps, 1):
                         for k, a in d.items():
                             q = m.pos(ci, k)
-                            if not lo <= q < hi:
+                            if q >= hi:
                                 continue
                             for c, w in targets:
                                 x = a if w is None else a * w
                                 eq = eqs.setdefault((c, q), {})
                                 u = col[(c, e)]
                                 eq[u] = eq[u] + x if u in eq else x
-            equations.extend(eq for (_, q), eq in eqs.items() if lo <= q < hi)
+            equations.extend(eq for (_, q), eq in eqs.items() if q < hi)
         basis = nullspace(equations, len(unknowns), p)
         neg_cols = [k for k, (_, e) in enumerate(unknowns) if e < 0]
         amb = sum(1 for c, e in unknowns if c and e < 0)
@@ -614,7 +600,7 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
     shell = GrassPoint(model, ring, {}, tail=tail, phi=phi,
                        pivots_full_below=False, max_pivot_bound=-1)
     for v in vectors:
-        residual, _ = shell.reduce(v)
+        residual = shell.reduce(v, "frame build")
         if residual.is_zero_certified():
             continue
         piv = residual.leading_unit_position()
@@ -631,7 +617,7 @@ def build_frame(model: Model, ring: JetRing, vectors, *, tail=None, phi=INF,
                for q, _ in r.pos_items()):
             continue
         comps = [dict(d) for d in r.comps]
-        lo, hi, _ = shell._clear(comps, r.lo, r.hi, skip=n)
+        lo, hi = shell._clear(comps, r.lo, r.hi, "frame build", skip=n)
         shell.rows[n] = VSeries(model, ring, comps, lo, hi)
     if max_pivot_bound is None:
         tops = [model.pos(i, t - 1) for i, t in enumerate(tail or (), 1)]

@@ -76,8 +76,6 @@ class CurveSpec:
         if self.case == "NR":
             return Model(self.p, "NR", zeta)
         a = (-pow(self.d, -1, self.p)) % self.p
-        if a == 0:
-            a = self.p
         return Model(self.p, "R", Cyclo.xi_power(self.p, a))
 
     def __repr__(self):

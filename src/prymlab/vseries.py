@@ -140,11 +140,6 @@ class BaseSeries:
     def one(ring: JetRing) -> "BaseSeries":
         return BaseSeries(ring, {0: ring.one()}, 0, INF)
 
-    def coeff(self, e: int) -> JetPoly:
-        if e >= self.hi:
-            raise WindowError("coefficient at z^%d not certified (window hi=%s)" % (e, self.hi))
-        return self.terms.get(e, self.ring.zero())
-
     def is_zero_certified(self) -> bool:
         return not self.terms
 

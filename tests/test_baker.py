@@ -363,12 +363,7 @@ def _ref_baker_akhiezer(U, coords):
     m = U.index_chi()
     g = flow_exponential(model, ring, cdict)
     E = _ref_v_over_z(model, ring, m) * g
-    residual, blocked = U.reduce(E)
-    bad = sorted(n for n in blocked if not residual.pos_coeff(n).is_zero())
-    if bad:
-        raise WindowError(
-            "wave solve needs rows below the stored window (positions %s)" % bad,
-            suggest=U.stored_floor() - bad[0])
+    residual = U.reduce(E, "wave solve")
     u = E - residual
     vm = _ref_normalizing_element(model, ring, m)
     zone_floor = {i + 1: min(d) for i, d in enumerate(vm.comps)}

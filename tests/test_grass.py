@@ -338,7 +338,7 @@ def test_a_defect_in_a_rows_top_coefficients_fails_the_pairwise_check():
                    r.lo, r.hi)
     V = _rebuilt(U, [r + bump if n == -6 else U.rows[n] for n in sorted(U.rows)])
     assert sorted(V.rows) == sorted(U.rows)
-    residual = V.certified_residual(V.rows[-6] * V.rows[-4], "membership")
+    residual = V.reduce(V.rows[-6] * V.rows[-4], "membership")
     assert residual.leading_position() == -5
     assert not V.algebra_point_check()
 
@@ -374,8 +374,8 @@ def test_the_ramified_sigma_image_back_reduces_nothing(monkeypatch):
     U = algebra_point(CurveSpec(3, [1, 2, 0, -1, 0, 0, 0, 3, 0, 0, 1]), 12)
     calls = []
     clear = GrassPoint._clear
-    monkeypatch.setattr(GrassPoint, "_clear", lambda self, comps, lo, hi, skip=None:
-                        calls.append(skip) or clear(self, comps, lo, hi, skip))
+    monkeypatch.setattr(GrassPoint, "_clear", lambda self, comps, lo, hi, what, skip=None:
+                        calls.append(skip) or clear(self, comps, lo, hi, what, skip))
     S = U.sigma_point()
     assert sorted(S.rows) == sorted(U.rows)
     assert len(calls) == len(U.rows) and set(calls) == {None}
@@ -486,13 +486,14 @@ def test_duality_intertwines_group_action():
 # The tangent check and `reduce` below are the straightforward versions:
 # one fresh `reduce(base * row)` per (sigma power, unknown, row) over
 # (component, exponent) unknowns, and a reduction that rebuilds the
-# residual VSeries at every pivot it clears.  The package reduces in place
-# and writes its system in sigma-eigen coordinates, once per product:
-# `reduce` must give exactly what this one gives, the tangent check the
-# same value and, mapped back to (component, exponent), the same nullspace.
+# residual VSeries at every pivot it clears, and raises for an entry left
+# at a blocked position.  The package reduces in place and writes its
+# system in sigma-eigen coordinates, once per product: `reduce` must give
+# exactly what this one gives, the tangent check the same value and,
+# mapped back to (component, exponent), the same nullspace.
 
 
-def _reference_reduce(U, v):
+def _reference_reduce(U, v, what):
     if not _isinf(U.phi):
         v = v.truncate(U.model.exp_window(0, U.phi)[1])
     residual = v
@@ -516,7 +517,20 @@ def _reference_reduce(U, v):
                 blocked.add(n)
         if not changed:
             break
-    return residual, blocked
+    bad = sorted(n for n in blocked if not residual.pos_coeff(n).is_zero())
+    if bad:
+        raise WindowError("%s needs rows below the stored window (positions %s)"
+                          % (what, bad), suggest=floor - bad[0])
+    return residual
+
+
+def _outcome_of(reduce, *args):
+    """The residual `reduce` returns, or the message and suggestion of
+    the `WindowError` it raises."""
+    try:
+        return reduce(*args)
+    except WindowError as e:
+        return str(e), e.suggest
 
 
 def _reference_tangent_rows(U, depth):
@@ -572,11 +586,9 @@ def _reference_tangent_once(U, depth, keys, systems):
                     i2 = (i - 1 + k) % p + 1
                     base = VSeries.monomial(m, U.ring, i2, e)
                     keys.add((i2, e, r.leading_position()))
-                residual, blocked = _reference_reduce(U, base * r)
+                residual = _reference_reduce(U, base * r, "orbit tangent")
                 lo_r, hi_r = residual.pos_window()
-                slot = per_row.setdefault(ridx, {"lo": -(10 ** 9), "hi": None, "eqs": {}})
-                if blocked:
-                    slot["lo"] = max(slot["lo"], max(blocked) + 1)
+                slot = per_row.setdefault(ridx, {"hi": None, "eqs": {}})
                 slot["hi"] = hi_r if slot["hi"] is None else min(slot["hi"], hi_r)
                 for q, c in residual.pos_items():
                     if not c.is_zero():
@@ -584,7 +596,7 @@ def _reference_tangent_once(U, depth, keys, systems):
         for ridx, slot in per_row.items():
             valid_hi = min(slot["hi"], top_pos + rows[ridx].pos_window()[0])
             for q, eq in slot["eqs"].items():
-                if slot["lo"] <= q < valid_hi:
+                if q < valid_hi:
                     equations.append(eq)
     systems.append((equations, len(unknowns)))
     basis = nullspace(equations, len(unknowns), p)
@@ -675,6 +687,24 @@ def test_tangent_matches_reference_loop(monkeypatch, name):
         assert want == value
 
 
+def test_a_tangent_product_below_the_window_raises():
+    # the lowest row times z^-1, written as `tangent_orbit_dim` writes a
+    # product: its pivot entry lands under the floor, where no row clears
+    # it, so the kernel refuses the product instead of cutting its equations
+    U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 12)
+    view = U.scalar_view()
+    m = view.model
+    floor = view.stored_floor()
+    r = view.rows[floor]
+    comps = [{} for _ in range(m.ncomp)]
+    comps[0] = {k - 1: a for k, a in r.comps[0].items()}
+    lowest = m.pos(1, m.unpos(floor)[1] - 1)
+    with pytest.raises(WindowError, match="orbit tangent needs rows below the stored "
+                       r"window \(positions \[%d\]\)" % lowest) as err:
+        view._clear(comps, r.lo - 1, r.hi - 1, "orbit tangent")
+    assert err.value.suggest == floor - lowest == 1
+
+
 @pytest.mark.parametrize("name", [n for n in TANGENT_CASES if n != "genus9"])
 def test_tangent_reduces_each_product_once(monkeypatch, name):
     U, depth, _ = _tangent_case(name)
@@ -684,9 +714,9 @@ def test_tangent_reduces_each_product_once(monkeypatch, name):
     calls = []
     clear = GrassPoint._clear
 
-    def counting(self, comps, lo, hi, skip=None):
+    def counting(self, comps, lo, hi, what, skip=None):
         calls.append(self)
-        return clear(self, comps, lo, hi, skip)
+        return clear(self, comps, lo, hi, what, skip)
 
     monkeypatch.setattr(GrassPoint, "_clear", counting)
     U.tangent_orbit_dim(depth)
@@ -715,29 +745,27 @@ def _uncapped_tangent_system(U, depth):
                for i in range(m.ncomp)]
     top_pos = m.pos(1, e_hi)
     for r in view._tangent_rows(depth):
-        lo, hi = -(10 ** 9), top_pos + r.pos_window()[0]
+        hi = top_pos + r.pos_window()[0]
         eqs = {}
         for comp, rd in enumerate(r.comps, 1):
             for e in exps:
                 e_top = min(r.hi + e, top)
                 comps = [{} for _ in range(m.ncomp)]
                 comps[comp - 1] = {k + e: a for k, a in rd.items() if k + e < e_top}
-                _, e_top, blocked = view._clear(comps, r.lo + e, e_top)
-                if blocked:
-                    lo = max(lo, max(blocked) + 1)
+                _, e_top = view._clear(comps, r.lo + e, e_top, "orbit tangent")
                 hi = min(hi, m.pos_window(0, e_top)[1])
                 targets = [(e % p, None)] if m.case == "R" else weights[comp - 1]
                 for ci, d in enumerate(comps, 1):
                     for k, a in d.items():
                         q = m.pos(ci, k)
-                        if not lo <= q < hi:
+                        if q >= hi:
                             continue
                         for c, w in targets:
                             x = a if w is None else a * w
                             eq = eqs.setdefault((c, q), {})
                             u = col[(c, e)]
                             eq[u] = eq[u] + x if u in eq else x
-        equations.extend(eq for (_, q), eq in eqs.items() if lo <= q < hi)
+        equations.extend(eq for (_, q), eq in eqs.items() if q < hi)
     return equations, len(unknowns)
 
 
@@ -785,12 +813,13 @@ def test_scalar_reduce_with_big_coefficients_matches_reference(p):
                 v = VSeries.from_positions(m, ring, {
                     q: big() for q in range(edge - 2, edge + 8 * p) if rng.random() < 0.6})
                 v = v.map_coeffs(JetPoly.constant_term)
-                got, want = U.reduce(v), _reference_reduce(U, v)
-                assert got[0] == want[0] and got[1] == want[1]
+                got = U.reduce(v, "membership")
+                want = _reference_reduce(U, v, "membership")
+                assert got == want
                 # the reference subtracts tail monomials as jets
-                want = want[0].map_coeffs(
+                want = want.map_coeffs(
                     lambda c: c.constant_term() if isinstance(c, JetPoly) else c)
-                assert [{e: (c._n, c._d) for e, c in d.items()} for d in got[0].comps] \
+                assert [{e: (c._n, c._d) for e, c in d.items()} for d in got.comps] \
                     == [{e: (c._n, c._d) for e, c in d.items()} for d in want.comps]
 
 
@@ -847,9 +876,9 @@ def test_reduce_matches_reference(cap):
                         for q in range(lo_pos, lo_pos + 12 * p) if rng.random() < 0.5}
                 top = lo_pos + rng.randint(4 * p, 14 * p) if rng.random() < 0.5 else INF
                 v = VSeries.from_positions(m, ring, data, phi=top)
-                got, want = U.reduce(v), _reference_reduce(U, v)
-                assert got[0] == want[0]          # coefficients and window
-                assert got[1] == want[1]
+                # coefficients and window, or the same error
+                got = _outcome_of(U.reduce, v, "membership")
+                assert got == _outcome_of(_reference_reduce, U, v, "membership")
 
 
 # ------------------------------------------------------------------ _clear: stop rule
@@ -857,7 +886,8 @@ def test_reduce_matches_reference(cap):
 # `_clear` as it was before it stopped after a pass that adds no entry at
 # or below its sweep: it stopped only after a pass that cleared nothing, so
 # every reduction that cleared anything swept twice or more.  The two must
-# agree on the residual, the window and the blocked positions.
+# agree on the residual and the window, and `_clear` must raise exactly
+# where the old one left an entry at a blocked position.
 
 
 def _two_pass_clear(U, comps, lo, hi, skip=None):
@@ -952,7 +982,7 @@ def test_a_built_frame_reads_its_floor_once(monkeypatch):
     U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 12)
     assert not floors          # build_frame's shell never blocks
     for r in U.rows.values():
-        assert U.reduce(r)[0].is_zero_certified()
+        assert U.reduce(r, "membership").is_zero_certified()
     assert floors == [U]
 
 
@@ -960,7 +990,7 @@ def test_a_vector_over_another_jet_ring_is_refused():
     U = algebra_point(CurveSpec(2, [-1, 0, 0, 0, 0, 1]), 12)
     ring = JetRing(2, ("e1",), cap=1)
     with pytest.raises(ValueError, match="mixed jet rings"):
-        U.reduce(VSeries.one(U.model, ring))
+        U.reduce(VSeries.one(U.model, ring), "membership")
 
 
 def test_clear_stops_after_a_pass_with_nothing_below_its_sweep(monkeypatch):
@@ -968,7 +998,7 @@ def test_clear_stops_after_a_pass_with_nothing_below_its_sweep(monkeypatch):
     heapify = heapq.heapify
     monkeypatch.setattr(heapq, "heapify", lambda h: passes.append(h) or heapify(h))
     rng = random.Random(6300)
-    blocked = fewer = several = 0
+    raised = fewer = several = 0
     for cap in (0, 1, 2):
         for case, p in (("R", 2), ("R", 3), ("NR", 2), ("NR", 3)):
             m = Model(p, case)
@@ -996,20 +1026,26 @@ def test_clear_stops_after_a_pass_with_nothing_below_its_sweep(monkeypatch):
                         got_comps = [dict(d) for d in comps]
                         want_comps = [dict(d) for d in comps]
                         passes.clear()
-                        got = F._clear(got_comps, lo, hi, skip)
+                        got = _outcome_of(F._clear, got_comps, lo, hi, "membership", skip)
                         ours = len(passes)
                         passes.clear()
-                        want = _two_pass_clear(F, want_comps, lo, hi, skip)
+                        lo2, hi2, blocked = _two_pass_clear(F, want_comps, lo, hi, skip)
+                        left = VSeries(m, ring, want_comps, lo2, hi2)
+                        bad = [n for n in blocked if not left.pos_coeff(n).is_zero()]
+                        want = lo2, hi2
+                        if bad:
+                            error = F.below_window_error("membership", bad)
+                            want = str(error), error.suggest
                         assert got == want and got_comps == want_comps
                         assert ours <= len(passes)
                         if cap == 0:
                             assert ours == 1  # a scalar row writes nothing below its pivot
-                        blocked += bool(got[2])
+                        raised += bool(bad)
                         fewer += ours < len(passes)
                         several += ours > 1
-    # the comparison saw blocked positions, saved passes, and jet reductions
+    # the comparison saw raises, saved passes, and jet reductions
     # that needed a second pass
-    assert blocked and fewer and several
+    assert raised and fewer and several
 
 
 # ------------------------------------------------------------------ build_frame: reference
@@ -1056,8 +1092,8 @@ def _reference_build_frame(model, ring, vectors, *, tail=None, phi=INF,
     for v in vectors:
         if not ring.compatible(v.ring):
             v = v.lift(ring)
-        residual, _ = _reference_reduce(shell, v)
-        got, _ = shell.reduce(v)
+        residual = _reference_reduce(shell, v, "frame build")
+        got = shell.reduce(v, "frame build")
         same_path = same_path and got == residual
         if residual.is_zero_certified():
             continue

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -34,3 +36,21 @@ def test_digest_refuses_a_directory_without_sources(tmp_path):
     run = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py")],
                          cwd=tmp_path, capture_output=True, text=True)
     assert run.returncode == 2 and "no prymlab sources" in run.stderr
+
+
+# the digest of round 0, seed 1, of each workload; a change that moves a
+# report updates its value here and lists the changed jobs in CHANGES.md
+PINNED = {
+    "tangent-sparse": "e6bd2d43e019beb91e6e69f918c2eb522c9039afc8fa09d5f82b52541913d8f0",
+    "tangent-dense": "79afe995365b84d469b3f76159431385375772ebb8b85266e564e8b436427477",
+    "identities": "9d8644a2ca9a1cbb9d15d2bee2ab568786201d7317c69fd9494012bcc23198dc",
+    "wedge-p5p7": "7410849cdfe9f13a032fc9e3281d935e2772aadb08d64bfd53bcbb9c3d548453",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED))
+def test_reports_of_the_first_round_are_pinned(workload):
+    argv = [sys.executable, str(ROOT / "tools" / "report_digest.py"),
+            "--workload", workload, "--seeds", "1", "--rounds", "0"]
+    run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
+    assert run.stdout.split()[-1] == PINNED[workload]
