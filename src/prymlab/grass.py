@@ -421,7 +421,8 @@ class GrassPoint:
         witness settles the verdict first, suggesting the largest extension
         theirs ask for (none if one names none).  The search carries the
         minors of the chosen prefix (`wedge_step`), so tuples sharing a
-        prefix share its minors and each tuple's wedge costs p series products.
+        prefix share its minors and each tuple's wedge visits p (entry,
+        minor) pairs, with a series product only where both hold terms.
         """
         m = self.model
         cands = self._wedge_candidates()
@@ -533,7 +534,8 @@ class GrassPoint:
         top_pos = m.pos(1, e_hi)
         for r in view._tangent_rows(depth):
             # the row's equations hold on the meet of its products' windows;
-            # an entry above the meet so far stays above it
+            # hi only shrinks, so the final `q < hi` drops every equation
+            # above the meet
             hi = top_pos + r.pos_window()[0]
             eqs = {}
             # no product is cleared above the e = -depth product's top or
@@ -549,8 +551,6 @@ class GrassPoint:
                     for ci, d in enumerate(comps, 1):
                         for k, a in d.items():
                             q = m.pos(ci, k)
-                            if q >= hi:
-                                continue
                             for c, w in targets:
                                 x = a if w is None else a * w
                                 eq = eqs.setdefault((c, q), {})

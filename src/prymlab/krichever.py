@@ -162,16 +162,12 @@ class CurveExpansion:
                                 for i in range(m.ncomp)], -s, hi)
 
     def check_defining_relation(self) -> bool:
-        """y^p - f(x) = 0 on the certified window."""
-        acc = self.y
-        for _ in range(self.curve.p - 1):
-            acc = acc * self.y
+        """y^p - f(x) = 0 on the certified window; the powers of x and y
+        are the kept `monomial`s that the generators read."""
         fx = VSeries.zero(self.model, self.ring)
-        xp = VSeries.one(self.model, self.ring)
         for k, c in enumerate(self.curve.f):
-            fx = fx + xp.scale(c)
-            xp = xp * self.x
-        return (acc - fx).is_zero_certified()
+            fx = fx + self.monomial(k, 0).scale(c)
+        return (self.monomial(0, self.curve.p) - fx).is_zero_certified()
 
     def monomial(self, a: int, b: int) -> VSeries:
         """x^a y^b as 1 * x * ... * x * y * ... * y (a negative exponent

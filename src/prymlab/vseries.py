@@ -538,7 +538,7 @@ def wedge_step(minors, col) -> dict:
     (k+1)-minors come from Laplace expansion along the new last column,
     with sign (-1)^(i+k) for the i-th row of the subset, so folding this
     step over the columns of a matrix gives its determinant with the usual
-    sign.  A k -> k+1 step costs C(p, k+1) * (k+1) series products.
+    sign.  A k -> k+1 step visits C(p, k+1) * (k+1) (entry, minor) pairs.
 
     The result is the same BaseSeries, window and terms alike, as any
     other division-free expansion, e.g. by cofactors: a product's window
@@ -549,19 +549,26 @@ def wedge_step(minors, col) -> dict:
     over permutations and factors, of one factor's hi plus the others'
     lo.  Below a common hi the stored terms are the exact coefficients of
     the determinant, whatever the order of the sums.
+
+    So each (k+1)-minor is one pass over its pairs: every pair adds its
+    product's window by those rules, and only a pair whose factors both
+    hold terms adds its signed series product into the minor's terms.
     """
     if minors is None:
         return {(r,): c for r, c in enumerate(col)}
     k = len(next(iter(minors)))
     out = {}
     for rows in itertools.combinations(range(len(col)), k + 1):
-        acc = None
+        lo = hi = INF
+        terms = {}
         for i, r in enumerate(rows):
-            term = col[r] * minors[rows[:i] + rows[i + 1:]]
-            if (i + k) % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        out[rows] = acc
+            a, b = col[r], minors[rows[:i] + rows[i + 1:]]
+            lo = min(lo, a.lo + b.lo)
+            hi = min(hi, a.lo + b.hi, b.lo + a.hi)
+            if a.terms and b.terms:
+                t = (a * b).terms
+                _add_into(terms, {e: -c for e, c in t.items()} if (i + k) % 2 else t)
+        out[rows] = BaseSeries(col[rows[0]].ring, terms, lo, hi)
     return out
 
 
@@ -570,10 +577,11 @@ def wedge_residue(us, head=None) -> JetPoly:
 
     `us` is a sequence of p VSeries over a common model and ring; the
     determinant has the coordinate classes as rows and us as columns and
-    is folded column by column with `wedge_step`, p*2^(p-1) - p series
-    products in all.  `head`, if the caller already has it, is the pair
-    (minors of us[:-1], coordinates of us[-1]); the fold then takes only
-    its last step, p products.
+    is folded column by column with `wedge_step`, which visits
+    p*2^(p-1) - p (entry, minor) pairs in all and makes a series product
+    only for a pair whose two factors both hold terms.  `head`, if the
+    caller already has it, is the pair (minors of us[:-1], coordinates of
+    us[-1]); the fold then takes only its last step, p pairs.
     """
     us = list(us)
     model = us[0].model

@@ -90,12 +90,14 @@ def test_monomials_extend_their_kept_prefix(monkeypatch, curve):
     products = []
     mul = VSeries.__mul__
     monkeypatch.setattr(VSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    # the defining-relation check kept y^0..y^p and x^0..x^deg f
+    built = {(0, b) for b in range(curve.p + 1)} | {(a, 0) for a in range(len(curve.f))}
     kept = {}
     for a in range(5):
         for b in range(curve.p):
             products.clear()
             kept[a, b] = exp.monomial(a, b)
-            assert len(products) == 1 if (a, b) != (0, 0) else not products
+            assert len(products) == (0 if (a, b) in built else 1)
     monkeypatch.setattr(VSeries, "__mul__", mul)
     for (a, b), got in kept.items():
         want = VSeries.one(exp.model, exp.ring)
@@ -105,6 +107,18 @@ def test_monomials_extend_their_kept_prefix(monkeypatch, curve):
         assert exp.monomial(a, b) is got
     # a negative exponent counts as 0, as in the product it replaces
     assert exp.monomial(-1, 1) is exp.monomial(0, 1)
+
+
+@pytest.mark.parametrize("curve", [curve_y2_x5(), curve_y3_x4(), curve_y2_x6()])
+def test_the_defining_relation_makes_each_power_once(monkeypatch, curve):
+    exp = krichever.CurveExpansion(curve, 12)
+    products = []
+    mul = VSeries.__mul__
+    monkeypatch.setattr(VSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert exp.check_defining_relation()
+    assert len(products) == curve.p + curve.d   # y^1..y^p and x^1..x^d
+    products.clear()
+    assert exp.check_defining_relation() and not products
 
 
 def test_expand_function_with_denominator():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -296,16 +297,21 @@ def test_wedge_nonramified_example():
 
 @pytest.mark.parametrize("case,p", [("R", 2), ("R", 3), ("NR", 2)])
 def test_wedge_against_bruteforce(case, p):
+    # positions [-3, 3(p-1)) give every coordinate the z-window [-1, 2)
+    # (R-3) or one whose determinant is certified through z^-1 (p = 2)
     rng = random.Random(31 + p)
     m = Model(p, case)
     R = scalar_ring(p)
+    certified = 0
     for _ in range(8):
-        us = [rand_vseries(rng, m, R, lo=-3, hi=3, density=0.6) for _ in range(p)]
+        us = [rand_vseries(rng, m, R, lo=-3, hi=3 * (p - 1), density=0.6) for _ in range(p)]
         try:
             got = wedge_residue(us)
         except WindowError:
             continue
         assert got == brute_wedge(us)
+        certified += 1
+    assert certified >= 4
 
 
 def test_wedge_norm_equivariance():
@@ -315,21 +321,23 @@ def test_wedge_norm_equivariance():
     m = Model(p, "R")
     R = JetRing(p, ("e1",), cap=1)
     g = flow_exponential(m, R, {1: R.var("e1")}) * VSeries.one(m, R).scale(3)
+    certified = 0
     for _ in range(6):
-        us = [rand_vseries(rng, m, R, lo=-3, hi=4, density=0.5) for _ in range(p)]
+        # g has a z1^-1 term, so g*u ends one position lower than u; u on
+        # [-3, 6) leaves the determinant of the g*u certified through z^-1
+        us = [rand_vseries(rng, m, R, lo=-3, hi=6, density=0.5) for _ in range(p)]
         gus = [g * u for u in us]
         try:
             lhs = wedge_residue(gus)
         except WindowError:
             continue
         # Nm(g) * det as base series, residue taken afterwards
-        from prymlab.vseries import _det
-        mat = [[us[l].coordinates()[k] for l in range(p)] for k in range(p)]
-        det = _det(mat)
-        nm = g.norm()
-        prod = nm * det
-        want = prod.terms.get(-1, R.zero())
-        assert lhs == want
+        det = _old_det([[us[l].coordinates()[k] for l in range(p)] for k in range(p)])
+        prod = g.norm() * det
+        assert prod.lo <= -1 < prod.hi
+        assert lhs == prod.terms.get(-1, R.zero())
+        certified += 1
+    assert certified >= 3
 
 
 # ---------------------------------------------------------------- roots, flows
@@ -630,6 +638,46 @@ def test_wedge_fold_matches_cofactor_expansion(p, cap, count):
         assert (got.lo, got.hi, got.terms) == (want.lo, want.hi, want.terms)
 
 
+def _witness_column(rng, ring, p, span, c):
+    """A witness-like column: the coordinates of one vector, whose class c
+    holds terms from its window's bottom up, while the other classes are
+    empty series on nearly the same window, finite or infinite."""
+    lo, width = rng.randint(-3, 1), rng.randint(3, 8)
+    col = []
+    for k in range(p):
+        lo_k = lo + (rng.random() < 0.2)
+        hi_k = INF if rng.random() < 0.5 else lo_k + width
+        d = {}
+        if k == c:
+            for e in range(lo_k, min(hi_k, lo_k + span)):
+                x = ring.const(Cyclo(p, [Fraction(rng.randint(-1, 1)) for _ in range(p - 1)]))
+                if ring.cap and rng.random() < 0.4:
+                    x = x + ring.var("w", rng.randint(-1, 1))
+                if e == lo_k or rng.random() < 0.6:
+                    d[e] = x if not x.is_zero() else ring.one()
+        col.append(BaseSeries(ring, d, lo_k, hi_k))
+    return col
+
+
+@pytest.mark.parametrize("p,cap,count", [(2, 0, 40), (2, 1, 40), (3, 0, 30), (3, 1, 30),
+                                         (5, 0, 6), (5, 1, 6), (7, 0, 2), (7, 1, 2)])
+def test_wedge_fold_matches_cofactor_expansion_on_witness_columns(p, cap, count):
+    rng = random.Random(89 * p + cap)
+    ring = JetRing(p, ("w",), cap=cap) if cap else scalar_ring(p)
+    nonzero = 0
+    for n in range(count):
+        # distinct classes in every other draw, so some determinants hold
+        # terms; repeated classes leave only a window
+        classes = rng.sample(range(p), p) if n % 2 == 0 else \
+            [rng.randrange(p) for _ in range(p)]
+        cols = [_witness_column(rng, ring, p, 3, c) for c in classes]
+        want = _old_det([[cols[l][k] for l in range(p)] for k in range(p)])
+        got = _fold(cols)
+        assert (got.lo, got.hi, got.terms) == (want.lo, want.hi, want.terms)
+        nonzero += bool(got.terms)
+    assert nonzero > 0
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -656,10 +704,25 @@ def test_wedge_head_matches_the_full_fold(case, p):
 
 
 def test_wedge_p7_costs_at_most_p_times_2_to_p_minus_1_products(monkeypatch):
+    # the fold visits p*2^(p-1) - p (entry, minor) pairs and makes one
+    # series product for each pair whose two factors both hold terms
     rng = random.Random(7)
-    m = Model(7, "R")
-    R = scalar_ring(7)
-    us = [rand_vseries(rng, m, R, lo=-3, hi=4, density=0.3) for _ in range(7)]
+    p = 7
+    m = Model(p, "R")
+    R = scalar_ring(p)
+    us = [rand_vseries(rng, m, R, lo=-3, hi=4, density=0.3) for _ in range(p)]
+    pairs = nonempty = 0
+    minors = None
+    for u in us:
+        col = u.coordinates()
+        if minors is not None:
+            k = len(next(iter(minors)))
+            for rows in itertools.combinations(range(p), k + 1):
+                for i, r in enumerate(rows):
+                    pairs += 1
+                    nonempty += bool(col[r].terms and minors[rows[:i] + rows[i + 1:]].terms)
+        minors = wedge_step(minors, col)
+    assert pairs == p * 2 ** (p - 1) - p
     calls = []
     mul = BaseSeries.__mul__
 
@@ -669,7 +732,7 @@ def test_wedge_p7_costs_at_most_p_times_2_to_p_minus_1_products(monkeypatch):
 
     monkeypatch.setattr(BaseSeries, "__mul__", counting)
     _outcome(wedge_residue, us)
-    assert 0 < len(calls) <= 7 * 2 ** 6
+    assert 0 < len(calls) == nonempty < pairs
 
 
 # ---------------------------------------------------------------- one position layout
