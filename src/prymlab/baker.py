@@ -348,26 +348,18 @@ def certified_identity(tag: str, U: GrassPoint, depth: int, cap: int) -> tuple:
 def ba_transform_check(U: GrassPoint, *, depth: int = 3, cap: int = 1) -> bool:
     """Exact check of the wave-function transform under sigma.
 
-    Verifies u_{sigma U}(t) = sigma( proj_U( sigma^{-1}(v_m/z_.) * g_{t''} ) )
-    with t'' the inverse coordinate substitution (xi^j scalings in the
-    ramified case, the block shift in the non-ramified one); this is the
-    frame-normalized form of the block permutation / root-of-unity
+    Verifies u_{sigma U}(t) = sigma( proj_U( E ) ) with
+    E = sigma^{-1}( (v_m/z_.) * g_t ), formed as sigma^(p-1) of the
+    product: sigma is a ring automorphism of V, so this is
+    sigma^{-1}(v_m/z_.) times the flow of the inverse sigma* of t.  It is
+    the frame-normalized form of the block permutation / root-of-unity
     scaling law for Baker-Akhiezer functions.
     """
     model = U.model
     ring, blocks = identity_ring(model, ("t",), depth, cap)
     UL = U.lifted(ring)
     lhs = baker_akhiezer(UL.sigma_point(), blocks["t"])
-    # inverse sigma* on coordinates
-    tpp = {}
-    for key, var in blocks["t"].items():
-        if model.case == "R":
-            tpp[key] = var * model.xi_pow(key)
-        else:
-            i, j = key
-            tpp[((i - 2) % model.p + 1, j)] = var  # t''^(i) = t^(i+1)
-    # sigma^{-1} of the monomial vector v_m/z_., times the substituted flow
-    E = v_over_z(model, ring, UL.index_chi()).sigma_power(model.p - 1) \
-        * flow_exponential(model, ring, tpp)
+    E = (v_over_z(model, ring, UL.index_chi())
+         * flow_exponential(model, ring, blocks["t"])).sigma_power(model.p - 1)
     residual = UL.reduce(E, "transform check")
     return (lhs.u - (E - residual).sigma()).is_zero_certified()

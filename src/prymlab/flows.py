@@ -2,11 +2,12 @@
 
 Flow coordinates are finitely supported maps from flow indices to
 nilpotent jet elements: index j for the base curve and the ramified
-cover, pairs (i, j) with a component i for the non-ramified cover.  In
-these coordinates the group law is addition, the exponential map to
-elements of V is `flow_exponential`, and the norm / pullback / sigma
-maps of the formal jacobians become the explicit linear substitutions
-implemented here.
+cover, pairs (i, j) with a component i for the non-ramified cover.  A
+flow is held as its log L = sum_j t_j z_.^-j (`vseries.flow_log`), on
+which the group law is addition and the exponential map to elements of V
+is `vseries_exp`.  The maps of the formal jacobians are then V's own:
+the norm is the trace (Nm exp L = exp Tr L), the pullback is the
+inclusion of the base into V, and sigma* is sigma.
 """
 
 from __future__ import annotations
@@ -15,40 +16,48 @@ from fractions import Fraction
 
 from .jets import JetPoly, JetRing
 from .scalars import Cyclo
-from .vseries import BaseSeries, Model, VSeries, _isinf, flow_exponential, vseries_exp
+from .vseries import RAMIFIED, BaseSeries, Model, VSeries, _isinf, flow_log, vseries_exp
 
 
 class FlowCoords:
-    """Finitely supported nilpotent coordinates on a formal jacobian."""
+    """Finitely supported nilpotent coordinates on a formal jacobian.
 
-    __slots__ = ("model", "ring", "kind", "coords")
+    `log` is the flow's log: `flow_log`(model, ring, coords) in V for a
+    cover flow, sum_j b_j z^-j for a base flow (keys read as on the
+    ramified model).  `coords` reads the keys back off the log.
+    """
+
+    __slots__ = ("model", "kind", "log")
 
     def __init__(self, model: Model, ring: JetRing, kind: str, coords: dict):
-        if kind not in ("cover", "base"):
+        if kind == "cover":
+            log = flow_log(model, ring, coords)
+        elif kind == "base":
+            (terms,) = flow_log(Model(model.p, RAMIFIED, model.xi), ring, coords).comps
+            log = BaseSeries(ring, terms)
+        else:
             raise ValueError("kind must be 'cover' or 'base'")
-        clean = {}
-        for key, c in coords.items():
-            c = ring.const(c)
-            if not c.is_nilpotent():
-                raise ValueError("flow coordinates must be nilpotent")
-            if c.is_zero():
-                continue
-            if kind == "base" or model.case == "R":
-                if isinstance(key, tuple):
-                    if key[0] != 1:
-                        raise ValueError("single-component coordinates expected")
-                    key = key[1]
-                if key < 1:
-                    raise ValueError("flow indices start at 1")
-            else:
-                i, j = key
-                if not (1 <= i <= model.p) or j < 1:
-                    raise ValueError("bad coordinate index %r" % (key,))
-            clean[key] = c
         self.model = model
-        self.ring = ring
         self.kind = kind
-        self.coords = clean
+        self.log = log
+
+    @staticmethod
+    def _of_log(model: Model, kind: str, log) -> "FlowCoords":
+        """The coordinates whose log is `log`."""
+        out = object.__new__(FlowCoords)
+        out.model, out.kind, out.log = model, kind, log
+        return out
+
+    @property
+    def ring(self) -> JetRing:
+        return self.log.ring
+
+    @property
+    def coords(self) -> dict:
+        comps = (self.log.terms,) if self.kind == "base" else self.log.comps
+        if len(comps) == 1:
+            return {-e: c for e, c in comps[0].items()}
+        return {(i, -e): c for i, d in enumerate(comps, 1) for e, c in d.items()}
 
     def get(self, key) -> JetPoly:
         return self.coords.get(key, self.ring.zero())
@@ -60,28 +69,23 @@ class FlowCoords:
             and self.coords == other.coords
 
     def scale(self, c) -> "FlowCoords":
-        return FlowCoords(self.model, self.ring, self.kind,
-                          {k: v * c for k, v in self.coords.items()})
+        return FlowCoords._of_log(self.model, self.kind, self.log * c)
 
     def add(self, other: "FlowCoords") -> "FlowCoords":
         if self.kind != other.kind:
             raise ValueError("cannot add %s and %s coordinates" % (self.kind, other.kind))
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, self.ring.zero()) + v
-        return FlowCoords(self.model, self.ring, self.kind, out)
+        return FlowCoords._of_log(self.model, self.kind, self.log + other.log)
 
     def element(self) -> VSeries:
         """Exponential flow element of Gamma_V (cover) or Gamma (base).
 
-        Base coordinates are included into V and exponentiated there; the
+        A base log is included into V and exponentiated there; the
         inclusion of the base algebra is a ring map, so this is the image
         of the z-exponential.
         """
         if self.kind == "cover":
-            return flow_exponential(self.model, self.ring, self.coords)
-        arg = BaseSeries(self.ring, {-j: c for j, c in self.coords.items()})
-        return vseries_exp(base_to_v(self.model, self.ring, arg))
+            return vseries_exp(self.log)
+        return vseries_exp(base_to_v(self.model, self.ring, self.log))
 
 
 def base_to_v(model: Model, ring: JetRing, b: BaseSeries) -> VSeries:
@@ -96,41 +100,23 @@ def base_to_v(model: Model, ring: JetRing, b: BaseSeries) -> VSeries:
 
 
 def jac_coord_map(kind: str, c: FlowCoords) -> FlowCoords:
-    """The norm, pullback and sigma maps of the formal jacobians.
+    """The norm, pullback and sigma maps of the formal jacobians, on logs.
 
-    norm: cover -> base, on points: b_i = p * t_{ip} (ramified) or
-    b_j = sum_i t_j^(i) (non-ramified).  pullback: base -> cover,
-    t_j = b_{j/p} when p | j else 0 (ramified) or t_j^(i) = b_j.
-    sigma_star: cover -> cover, t_j -> xi^{-j} t_j or the component shift.
+    norm: cover -> base, the trace Tr L (b_i = p * t_{ip} ramified,
+    b_j = sum_i t_j^(i) non-ramified).  pullback: base -> cover, the
+    inclusion of the base into V (t_{pj} = b_j ramified, t_j^(i) = b_j).
+    sigma_star: cover -> cover, sigma (t_j -> xi^{-j} t_j ramified, the
+    component shift non-ramified).
     """
-    m, ring, p = c.model, c.ring, c.model.p
-    if kind == "norm":
-        if c.kind != "cover":
-            raise ValueError("norm maps cover coordinates to base coordinates")
-        if m.case == "R":
-            out = {j // p: v * p for j, v in c.coords.items() if j % p == 0}
-        else:
-            out = {}
-            for (i, j), v in c.coords.items():
-                out[j] = out.get(j, ring.zero()) + v
-        return FlowCoords(m, ring, "base", out)
-    if kind == "pullback":
-        if c.kind != "base":
-            raise ValueError("pullback maps base coordinates to cover coordinates")
-        if m.case == "R":
-            out = {p * j: v for j, v in c.coords.items()}
-        else:
-            out = {(i, j): v for j, v in c.coords.items() for i in range(1, p + 1)}
-        return FlowCoords(m, ring, "cover", out)
-    if kind == "sigma_star":
-        if c.kind != "cover":
-            raise ValueError("sigma_star acts on cover coordinates")
-        if m.case == "R":
-            out = {j: v * m.xi_pow(-j) for j, v in c.coords.items()}
-        else:
-            out = {(i % p + 1, j): v for (i, j), v in c.coords.items()}
-        return FlowCoords(m, ring, "cover", out)
-    raise ValueError("unknown coordinate map %r" % kind)
+    maps = {"norm": ("cover", "base", VSeries.trace),
+            "pullback": ("base", "cover", lambda b: base_to_v(c.model, c.ring, b)),
+            "sigma_star": ("cover", "cover", VSeries.sigma)}
+    if kind not in maps:
+        raise ValueError("unknown coordinate map %r" % kind)
+    source, target, on_log = maps[kind]
+    if c.kind != source:
+        raise ValueError("%s maps %s coordinates to %s coordinates" % (kind, source, target))
+    return FlowCoords._of_log(c.model, target, on_log(c.log))
 
 
 def sigma_minus_id(c: FlowCoords) -> FlowCoords:
@@ -187,8 +173,7 @@ def prop_prym_report(c: FlowCoords) -> dict:
     a = prym_complement(c)
     nm = jac_coord_map("norm", c)
     report = {}
-    report["prym_in_kernel"] = prym_membership_coords(a) and \
-        all(v.is_zero() for v in jac_coord_map("norm", a).coords.values())
+    report["prym_in_kernel"] = prym_membership_coords(a)
     u, b = split_map(c)
     report["multiply_splits"] = (multiply_map(u, b) == c) and prym_membership_coords(u)
     report["m_after_pair_is_pth_power"] = multiply_map(a, nm) == c.scale(p)

@@ -609,28 +609,38 @@ def vseries_exp(v: VSeries) -> VSeries:
     return out
 
 
-def flow_exponential(model: Model, ring: JetRing, coords) -> VSeries:
-    """Exponential flow element of the formal jacobian of the cover.
+def flow_log(model: Model, ring: JetRing, coords) -> VSeries:
+    """The log L = sum c_j z_.^-j of a flow: the one reader of flow keys.
 
-    Ramified: coords maps j >= 1 to a nilpotent jet coefficient and the
-    result is exp(sum_j c_j z1^{-j}).  Non-ramified: coords maps (i, j)
-    with component i in 1..p, and the exponential acts componentwise.
+    Ramified: coords maps j >= 1 (or (1, j)) to a nilpotent jet
+    coefficient of z1^-j.  Non-ramified: coords maps (i, j) with component
+    i in 1..p to the coefficient of z^-j in component i.  A key of another
+    shape raises ValueError naming it.
     """
     comps = [{} for _ in range(model.ncomp)]
     for key, c in coords.items():
-        if isinstance(key, tuple):
+        if isinstance(key, tuple) and len(key) == 2:
             i, j = key
-        else:
+        elif model.ncomp == 1 and not isinstance(key, tuple):
             i, j = 1, key
+        else:
+            raise ValueError("flow key %r is not %s" % (
+                key, "j or (1, j)" if model.ncomp == 1 else "a pair (i, j)"))
         if j < 1:
-            raise ValueError("flow indices start at 1")
+            raise ValueError("flow key %r: flow indices start at 1" % (key,))
+        if not 1 <= i <= model.ncomp:
+            raise ValueError("flow key %r: component %d outside 1..%d"
+                             % (key, i, model.ncomp))
         c = ring.const(c)
         if not c.is_nilpotent():
-            raise ValueError("flow coefficients must be nilpotent")
-        if not 1 <= i <= model.ncomp:
-            raise ValueError("flow component %d outside 1..%d" % (i, model.ncomp))
-        if c.is_zero():
-            continue
-        comps[i - 1][-j] = comps[i - 1].get(-j, ring.zero()) + c
-    arg = VSeries(model, ring, comps, hi=INF)
-    return vseries_exp(arg)
+            raise ValueError("flow key %r: flow coefficients must be nilpotent" % (key,))
+        if not c.is_zero():
+            comps[i - 1][-j] = comps[i - 1].get(-j, ring.zero()) + c
+    return VSeries(model, ring, comps, hi=INF)
+
+
+def flow_exponential(model: Model, ring: JetRing, coords) -> VSeries:
+    """Exponential flow element exp(L) of the formal jacobian of the cover,
+    for L = `flow_log`(model, ring, coords); in the non-ramified model the
+    exponential acts componentwise."""
+    return vseries_exp(flow_log(model, ring, coords))
