@@ -22,6 +22,11 @@ is nonzero at every exponent zone_i - 1 - k, 0 <= k <= ring cap * flow
 depth (distinct jet monomials cannot cancel), and a scalar row never writes
 below the pivot it clears, so the solve raises exactly at E's positions
 under the stored floor outside the tail, when pivots are full below.
+A reduced scalar row is also zero at other pivots and in the tail, so
+`reduce` uses exactly the rows at E's pivots below its running hi, and a
+family's window is E's (min(zone) - 1 - reach, top of phi) met with
+theirs and, at cap > 0, its kernel-zone rows'.  `_families` runs the
+identity's step on such window shells first: no refused depth costs jets.
 
 Identity tags follow the CLI names: SIGMA_R, SIGMA_NR, BKP_GEN,
 MOD_R_1..3, MOD_NR_1..3, CONN_i and CONN_<k>; `identity` decides each.
@@ -39,8 +44,10 @@ from .vseries import (
     Model,
     VSeries,
     flow_exponential,
+    _residue,
     residue_pairing,
     wedge_residue,
+    wedge_step,
 )
 
 
@@ -114,6 +121,13 @@ def baker_akhiezer(U: GrassPoint, coords) -> BAFunction:
     return BAFunction(ring, u, big_cell, zone)
 
 
+def _wave_support(U: GrassPoint, reach: int) -> list:
+    """E's positions, ascending, when its flow exponential reaches z_.^-`reach`."""
+    model = U.model
+    return sorted(model.pos(i + 1, z - 1 - k)
+                  for i, z in enumerate(_zone(model, U.index_chi())) for k in range(reach + 1))
+
+
 def wave_solve_blocked(U: GrassPoint, reach: int) -> list:
     """Positions below the stored window that the wave solve of a scalar
     frame U needs when its flow exponential reaches z_.^-`reach` (the ring
@@ -121,10 +135,35 @@ def wave_solve_blocked(U: GrassPoint, reach: int) -> list:
     floor = U.stored_floor()
     if floor is None or not U.pivots_full_below:
         return []
+    return [n for n in _wave_support(U, reach) if n < floor and not U.in_tail(n)]
+
+
+def _window_shell(U: GrassPoint, kernel: list, reach: int, cap: int) -> VSeries:
+    """The wave family of scalar frame U as a window shell: no terms, the
+    family's window (module docstring); `kernel` is U's kernel-zone rows."""
     model = U.model
-    return sorted(n for i, z in enumerate(_zone(model, U.index_chi()))
-                  for n in (model.pos(i + 1, z - 1 - k) for k in range(reach + 1))
-                  if n < floor and not U.in_tail(n))
+    support = _wave_support(U, reach)
+    lo, hi = model.unpos(support[0])[1], model.exp_window(0, U.phi)[1]
+    for n in support:
+        row = U.rows.get(n)
+        if row is not None and model.unpos(n)[1] < hi:
+            lo, hi = min(lo, row.lo), min(hi, row.hi)
+    for row in kernel if cap else ():
+        lo, hi = min(lo, row.lo), min(hi, row.hi)
+    return VSeries(model, U.ring, [{}] * model.ncomp, lo, hi)
+
+
+def _shell_pairing(a: VSeries, b: VSeries):
+    """`residue_pairing`'s window walk, as the plan calls it (untraced)."""
+    return _residue((a * b).trace(), "residue pairing needs the z^-1 trace coefficient")
+
+
+def _shell_wedge(us):
+    """`wedge_residue`'s window walk, as the plan calls it (untraced)."""
+    minors = None
+    for u in us:
+        minors = wedge_step(minors, u.coordinates())
+    return _residue(*minors.values(), "wedge residue needs the z^-1 determinant coefficient")
 
 
 def adjoint_baker(U: GrassPoint, coords) -> BAFunction:
@@ -162,11 +201,12 @@ def identity_ring(model: Model, labels, depth: int, cap: int,
     return ring, blocks
 
 
-def _families(points: dict, spec, depth: int, cap: int) -> tuple:
+def _families(points: dict, spec, depth: int, cap: int, combine=None) -> tuple:
     """Wave families of the points named in `spec` ("U", "sigma", or the
     "dual" with negated flow times), family i on block `_labels`[i] of one
     jet ring of total cap len(spec) * cap; returns (families, big-cell
-    flag of the first "psi" and "psi*" family).
+    flag of the first "psi" and "psi*" family).  On scalar frames the wave
+    solves and `combine` are first decided on windows (module docstring).
 
     A family off the big cell is completed by its kernel-zone rows, one
     fresh variable `<label>x<k>` each (none at cap 0); the identities are
@@ -176,16 +216,16 @@ def _families(points: dict, spec, depth: int, cap: int) -> tuple:
     # one kernel and one prejudge per point, in spec order
     kernels = {name: _kernel_rows(points[name], points[name].index_chi())
                for name in dict.fromkeys(spec)}
-    errors = []
-    for name in kernels:
-        if points[name].ring.cap:
-            break  # a jet frame is not prejudged
-        bad = wave_solve_blocked(points[name], len(spec) * cap * depth)
-        if bad:
-            errors.append(points[name].below_window_error("wave solve", bad))
-    if errors:
-        # the family that needs the largest extension names the depth's error
-        raise max(errors, key=lambda e: e.suggest)
+    reach = len(spec) * cap * depth
+    if not points[spec[0]].ring.cap:  # a jet frame is not prejudged
+        blocked = {n: wave_solve_blocked(points[n], reach) for n in kernels}
+        errors = [points[n].below_window_error("wave solve", b) for n, b in blocked.items() if b]
+        if errors:
+            # the family that needs the largest extension names the depth's error
+            raise max(errors, key=lambda e: e.suggest)
+        if combine is not None:
+            shells = {n: _window_shell(points[n], kernels[n], reach, cap) for n in kernels}
+            combine([shells[n] for n in spec], _shell_pairing, _shell_wedge)
     ring, blocks = identity_ring(points[spec[0]].model, labels, depth, len(spec) * cap,
                                  {label: len(kernels[name]) for label, name in zip(labels, spec)})
     lifts, fams, big_cell = {}, [], {}
@@ -239,15 +279,15 @@ def _labels(n: int) -> list:
 
 def _conn(comps=None) -> Callable:
     """The CONN step: the dual family paired with e_i, i in `comps` (all if None)."""
-    return lambda f: {i: residue_pairing(VSeries.unit_vector(f[0].model, f[0].ring, i), f[0])
-                      for i in comps or range(1, f[0].model.p + 1)}
+    return lambda f, pair, wedge: {i: pair(VSeries.unit_vector(f[0].model, f[0].ring, i), f[0])
+                                   for i in comps or range(1, f[0].model.p + 1)}
 
 
 class Identity(NamedTuple):
     """A residue identity: the model `case` it needs (None for both), the
     `key` of the evaluation it shares, `families(p)` as point names for
-    `_families`, the step that `combine`s them, and the default `expect`:
-    True for a law, None for the CONN dichotomy (nonzero means connected)."""
+    `_families`, the `combine` step (given a pairing and a wedge) and the
+    default `expect`: True for a law, None for CONN (nonzero: connected)."""
 
     case: str | None
     key: str
@@ -256,16 +296,16 @@ class Identity(NamedTuple):
     expect: bool | None = True
 
 
-_SIGMA = (lambda p: ("sigma", "dual"), lambda f: residue_pairing(f[0], f[1]))
-_MOD_2 = (lambda p: ("U", "U", "dual"), lambda f: residue_pairing(f[0] * f[1], f[2]))
+_SIGMA = (lambda p: ("sigma", "dual"), lambda f, pair, wedge: pair(f[0], f[1]))
+_MOD_2 = (lambda p: ("U", "U", "dual"), lambda f, pair, wedge: pair(f[0] * f[1], f[2]))
 _MOD_3 = (lambda p: ("dual",),
-          lambda f: residue_pairing(VSeries.one(f[0].model, f[0].ring), f[0]))
-# MOD_*_1 is the SIGMA_* pairing: one key.  Each step looks its vseries
-# function up when called, so a wrapper on this module's name sees the call
+          lambda f, pair, wedge: pair(VSeries.one(f[0].model, f[0].ring), f[0]))
+# MOD_*_1 is the SIGMA_* pairing: one key.  An evaluation passes the pairing
+# and wedge of this module's names when it runs, so a wrapper there sees them
 IDENTITIES = {
     "SIGMA_R": Identity("R", "SIGMA_R", *_SIGMA),
     "SIGMA_NR": Identity("NR", "SIGMA_NR", *_SIGMA),
-    "BKP_GEN": Identity(None, "BKP_GEN", lambda p: ("U",) * p, lambda f: wedge_residue(f)),
+    "BKP_GEN": Identity(None, "BKP_GEN", lambda p: ("U",) * p, lambda f, pair, wedge: wedge(f)),
     "MOD_R_1": Identity("R", "SIGMA_R", *_SIGMA),
     "MOD_R_2": Identity("R", "MOD_R_2", *_MOD_2),
     "MOD_R_3": Identity("R", "MOD_R_3", *_MOD_3),
@@ -311,8 +351,8 @@ def residue_identity_eval(tag: str, U: GrassPoint, *, depth: int = 4,
     spec = entry.families(U.model.p)
     points = {name: build() for name, build in (
         ("U", lambda: U), ("dual", U.dual), ("sigma", U.sigma_point)) if name in spec}
-    fams, big_cell = _families(points, spec, depth, cap)
-    return IdentityValue(entry.combine(fams), big_cell)
+    fams, big_cell = _families(points, spec, depth, cap, entry.combine)
+    return IdentityValue(entry.combine(fams, residue_pairing, wedge_residue), big_cell)
 
 
 def certified_identity(tag: str, U: GrassPoint, depth: int, cap: int) -> tuple:
@@ -321,9 +361,9 @@ def certified_identity(tag: str, U: GrassPoint, depth: int, cap: int) -> tuple:
     suggest] per depth tried, None for the certified one.  U keeps all three
     under (evaluation key, depth, cap), so SIGMA_* and MOD_*_1 are searched
     once.  If no depth certifies, the `WindowError` carries the `attempts`
-    and suggests the window that certifies 1.  A depth whose wave solve
-    `wave_solve_blocked` refuses (exactly; module docstring) costs no jet
-    arithmetic."""
+    and suggests the window that certifies 1.  On a scalar frame any
+    refused depth, whether its wave solve, pairing or wedge refuses it,
+    costs only its window walk (exactly; module docstring)."""
     def deepest():
         attempts = []
         for d in range(depth, 0, -1):

@@ -142,9 +142,9 @@ class GrassPoint:
 
     def index_chi(self) -> int:
         """Euler characteristic of U -> V/V+: dim(U cap V+) - dim V/(U+V+)."""
-        kernel = sum(1 for n in range(0, self.max_pivot_bound + 1) if self.is_pivot(n))
-        cogaps = sum(1 for n in range(self.d_full(), 0) if not self.is_pivot(n))
-        return kernel - cogaps
+        return self.once("chi", lambda: (
+            sum(1 for n in range(0, self.max_pivot_bound + 1) if self.is_pivot(n))
+            - sum(1 for n in range(self.d_full(), 0) if not self.is_pivot(n))))
 
     def gap_orders(self):
         """Positive pole-order gaps: -n over negative non-pivot positions."""

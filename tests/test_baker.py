@@ -608,6 +608,91 @@ def test_the_window_rule_is_the_wave_solve():
     assert raised and passed
 
 
+def _bench_points():
+    """Algebra and line-bundle ({1, y/(x-1)}) module points of the
+    benchmark's identity curves y^2 = x^5 + 1 and y^2 = x^6 - 1."""
+    bundle = [FunctionRep.one(), FunctionRep({(0, 1): 1}, {(1, 0): 1, (0, 0): -1})]
+    return [build(CurveSpec(2, f), *args)
+            for f in ([1, 0, 0, 0, 0, 1], [-1, 0, 0, 0, 0, 0, 1])
+            for build, args in ((algebra_point, (12, 14)), (module_point, (bundle, 12, 14)))]
+
+
+def _tags(model):
+    """Every identity tag of the model's case, with each CONN_<k>."""
+    tags = [tag for tag, entry in baker.IDENTITIES.items() if entry.case in (None, model.case)]
+    return tags + ["CONN_%d" % k for k in range(1, model.p + 1) if model.case == "NR"]
+
+
+def _plan_outcomes(U, caps, depths, checked):
+    """(refused, passed) plans of every identity on U that the wave solve
+    allows; each is held to the evaluation's outcome and family windows.
+
+    A step raises on its families' windows alone, so a passing plan is
+    held to its windows through depth 3 and to the step's outcome through
+    depth 2, and past depth `checked` to neither: deeper, its families and
+    step cost jet products only."""
+    refused = passed = 0
+    families = {}  # tags that share their families build them once
+    for tag in _tags(U.model):
+        entry = baker.identity(tag, U.model)
+        spec = entry.families(U.model.p)
+        try:
+            points = {name: build() for name, build in (
+                ("U", lambda: U), ("dual", U.dual), ("sigma", U.sigma_point)) if name in spec}
+            kernels = {n: baker._kernel_rows(P, P.index_chi()) for n, P in points.items()}
+        except (WindowError, FrameError):
+            continue
+        for cap in caps:
+            for depth in depths:
+                reach = len(spec) * cap * depth
+                if any(wave_solve_blocked(P, reach) for P in points.values()):
+                    continue  # the wave solve's own rule, tested above
+                shells = [baker._window_shell(points[n], kernels[n], reach, cap) for n in spec]
+                plan = _solve_outcome(lambda: entry.combine(
+                    shells, baker._shell_pairing, baker._shell_wedge))
+                refused += plan is not None
+                passed += plan is None
+                if plan is None and depth > checked:
+                    continue
+                key = (spec, depth, cap)
+                if key not in families:
+                    families[key] = baker._families(points, spec, depth, cap)[0]
+                fams = families[key]
+                where = (tag, U.model, U.stored_floor(), cap, depth)
+                assert [(f.lo, f.hi) for f in fams] == [(s.lo, s.hi) for s in shells], where
+                if plan is None and depth > 2:
+                    continue
+                full = _solve_outcome(lambda: entry.combine(fams, residue_pairing, wedge_residue))
+                assert plan == full, where
+                if plan is not None:
+                    assert _solve_outcome(lambda: residue_identity_eval(
+                        tag, U, depth=depth, cap=cap)) == plan, where
+    return refused, passed
+
+
+def test_the_window_plan_is_the_evaluation():
+    refused = passed = 0
+    for U in _rule_frames() + _bench_points():
+        r, p = _plan_outcomes(U, (0, 1, 2), range(1, 7), 3)
+        refused, passed = refused + r, passed + p
+    assert refused and passed
+
+
+def test_the_window_plan_reads_every_row_window():
+    # the rule frames with each row's window widened below or cut above at
+    # random: the plan follows the running hi and, at cap > 0 only, the
+    # kernel-zone rows, which no frame above tells apart
+    rng = random.Random(0)
+    for U in _rule_frames():
+        rows = {}
+        for n, row in U.rows.items():
+            hi = row.hi if rng.random() < 0.5 else min(
+                row.hi, U.model.unpos(n)[1] + 1 + rng.randrange(4))
+            rows[n] = VSeries(U.model, U.ring, row.truncate(hi).comps,
+                              row.lo - rng.randrange(3), hi)
+        _plan_outcomes(U._with_rows(rows), (0, 1), (1, 2, 3), 3)
+
+
 def test_a_jet_frame_is_not_prejudged(monkeypatch):
     # flow depth 9 multiplies down past the stored rows of pole depth 10
     U = _y2x5_point()
@@ -646,3 +731,38 @@ def test_refused_flow_depths_build_no_jet_ring(monkeypatch):
     # the memo keeps the search: MOD_NR_1 reuses it and builds nothing
     assert certified_identity("MOD_NR_1", U, 6, 2) == (value, used, attempts)
     assert depths == [1]
+
+
+def test_refused_pairing_depths_build_no_jet_ring(monkeypatch):
+    # y^2 = x^5 + 1 at [-12, 14], the shape of the benchmark's MOD_R_2
+    # jobs: depths 6-3 block the wave solve, depth 2 the pairing's window
+    depths = []
+    build = baker.identity_ring
+    monkeypatch.setattr(baker, "identity_ring", lambda model, labels, depth, *a:
+                        depths.append(depth) or build(model, labels, depth, *a))
+    U = algebra_point(CurveSpec(2, [1, 0, 0, 0, 0, 1]), 12, 14)
+    value, used, attempts = certified_identity("MOD_R_2", U, 6, 1)
+    assert value.is_zero() and used == 1
+    assert attempts == [[6, 10], [5, 7], [4, 4], [3, 1], [2, 3], [1, None]]
+    assert depths == [1]
+
+
+def test_a_traced_refused_pairing_records_no_span():
+    # the plan pairs window shells through untraced workers, so only the
+    # certified depth's pairing is a `vseries.residue_pairing` span
+    from test_trace_targets import _tracer
+
+    import prymlab.cli as cli
+
+    t = _tracer()
+    cfg = {"curve": {"p": 2, "f": ["1", "0", "0", "0", "0", "1"]}, "window": [-12, 14],
+           "flow_depth": 6, "jet_cap": 1, "checks": ["MOD_R_2"]}
+    try:
+        t.install()
+        report = cli.run(cfg)
+    finally:
+        t.uninstall()
+    assert report["verdict"] == "pass"
+    assert report["timing"]["attempts"]["MOD_R_2"][-2:] == [[2, 3], [1, None]]
+    names = [name for _, name, *_ in t.spans]
+    assert names.count("vseries.residue_pairing") == 1

@@ -1,7 +1,10 @@
 """Smoke test of `tools/report_digest.py`, the digest of the benchmark
 jobs' untimed reports that two trees are compared by."""
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -54,3 +57,33 @@ def test_reports_of_the_first_round_are_pinned(workload):
             "--workload", workload, "--seeds", "1", "--rounds", "0"]
     run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
     assert run.stdout.split()[-1] == PINNED[workload]
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the sha256 of each `identities` job's `timing.attempts` (the flow depths
+# its identity checks tried), round 0 of seed 1, one line per job; the
+# digest strips `timing`, so a change that reroutes the depth search is
+# held to the same depths and suggestions here
+ATTEMPTS = "8b42bfaf8ce961f255dcc143202532d708c468d8d27ad2f26bfcb3225eed6869"
+
+
+def test_the_flow_depths_tried_are_pinned(tmp_path):
+    import prymlab.cli as cli
+
+    workloads = _load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    digest = _load(ROOT / "tools" / "report_digest.py", "report_digest")
+    sha = hashlib.sha256()
+    for job in workloads.generate("identities", 1, 0):
+        argv, out = digest.argv_of(job, str(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        with open(out) as fh:
+            attempts = json.load(fh)["timing"].get("attempts")
+        sha.update(json.dumps([job["id"], attempts]).encode() + b"\n")
+    assert sha.hexdigest() == ATTEMPTS
